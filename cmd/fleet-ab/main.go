@@ -239,46 +239,35 @@ func main() {
 	defer stopProfiling()
 
 	control := wsmalloc.Baseline()
-	experiment := control
-	// Both arms carry their full design-point strings into the merged
-	// telemetry and heap-profile exports, so profdiff and dashboards can
-	// identify an arm without knowing which -feature/-design spawned it.
-	experimentDesign := wsmalloc.BaselineDesign()
-	armDesc := "feature=" + *feature
-	if *designFlag != "" {
-		dp, err := wsmalloc.ParseDesignPoint(*designFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		if experiment, err = wsmalloc.ConfigForDesign(dp); err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		experimentDesign = dp
-		armDesc = "design=" + dp.String()
-	} else {
-		featureByName := map[string]wsmalloc.Feature{
-			"heterogeneous-percpu-cache": wsmalloc.FeatureHeterogeneousPerCPU,
-			"nuca-transfer-cache":        wsmalloc.FeatureNUCATransferCache,
-			"span-prioritization":        wsmalloc.FeatureSpanPrioritization,
-			"lifetime-aware-filler":      wsmalloc.FeatureLifetimeAwareFiller,
-		}
-		switch ft, ok := featureByName[*feature]; {
-		case *feature == "all":
-			experiment = wsmalloc.Optimized()
-			experimentDesign = wsmalloc.OptimizedDesign()
-		case ok:
-			experiment = control.WithFeature(ft)
-			var err error
-			if experimentDesign, err = wsmalloc.DesignForFeature(ft); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-		default:
+	spec := *designFlag
+	if spec == "" {
+		// -feature names one of the paper's four redesigns (the design
+		// shorthands other than the two endpoints), or "all" for the full
+		// redesign.
+		spec = *feature
+		if spec == "all" {
+			spec = "optimized"
+		} else if spec == "baseline" || spec == "optimized" || !wsmalloc.IsDesignShorthand(spec) {
 			fmt.Fprintf(os.Stderr, "unknown feature %q\n", *feature)
 			os.Exit(2)
 		}
+	}
+	// Both arms carry their full design-point strings into the merged
+	// telemetry and heap-profile exports, so profdiff and dashboards can
+	// identify an arm without knowing which -feature/-design spawned it.
+	experimentDesign, err := wsmalloc.ParseDesignPoint(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
+		os.Exit(2)
+	}
+	experiment, err := wsmalloc.ConfigForDesign(experimentDesign)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
+		os.Exit(2)
+	}
+	armDesc := "feature=" + *feature
+	if *designFlag != "" {
+		armDesc = "design=" + experimentDesign.String()
 	}
 
 	f := wsmalloc.NewFleet(*machines, *seed)

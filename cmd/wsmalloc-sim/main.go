@@ -94,40 +94,32 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := wsmalloc.Baseline()
-	// design is the canonical design-point string stamped onto every
-	// export when -design is used; "" keeps the legacy -config labeling.
-	design := ""
-	runLabel := *configName
-	if *designFlag != "" {
-		dp, err := wsmalloc.ParseDesignPoint(*designFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		if cfg, err = wsmalloc.ConfigForDesign(dp); err != nil {
-			fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-			os.Exit(2)
-		}
-		design = dp.String()
-		runLabel = design
-	} else {
-		switch *configName {
-		case "baseline":
-		case "optimized":
-			cfg = wsmalloc.Optimized()
-		case "heterogeneous-percpu-cache":
-			cfg = cfg.WithFeature(wsmalloc.FeatureHeterogeneousPerCPU)
-		case "nuca-transfer-cache":
-			cfg = cfg.WithFeature(wsmalloc.FeatureNUCATransferCache)
-		case "span-prioritization":
-			cfg = cfg.WithFeature(wsmalloc.FeatureSpanPrioritization)
-		case "lifetime-aware-filler":
-			cfg = cfg.WithFeature(wsmalloc.FeatureLifetimeAwareFiller)
-		default:
+	spec := *designFlag
+	if spec == "" {
+		// -config takes only the named shorthands; tier=policy pairs go
+		// through -design.
+		if !wsmalloc.IsDesignShorthand(*configName) {
 			fmt.Fprintf(os.Stderr, "unknown config %q\n", *configName)
 			os.Exit(2)
 		}
+		spec = *configName
+	}
+	dp, err := wsmalloc.ParseDesignPoint(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
+		os.Exit(2)
+	}
+	cfg, err := wsmalloc.ConfigForDesign(dp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
+		os.Exit(2)
+	}
+	// design is the canonical design-point string stamped onto every
+	// export when -design is used; "" keeps the legacy -config labeling.
+	design, runLabel := "", *configName
+	if *designFlag != "" {
+		design = dp.String()
+		runLabel = design
 	}
 
 	if *metricsOut != "" || *serveAddr != "" {

@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"wsmalloc"
 )
@@ -38,7 +39,15 @@ func main() {
 	// Experiment 1: NUCA-aware transfer caches (paper Table 1).
 	base := wsmalloc.Baseline()
 	fmt.Println("\nA/B: NUCA-aware transfer caches vs baseline")
-	res := f.ABTest(base, base.WithFeature(wsmalloc.FeatureNUCATransferCache), opts)
+	nuca, err := wsmalloc.ParseDesignPoint("nuca-transfer-cache")
+	if err != nil {
+		log.Fatal(err)
+	}
+	nucaCfg, err := wsmalloc.ConfigForDesign(nuca)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := f.ABTest(base, nucaCfg, opts)
 	fmt.Println(" ", res.Fleet.String())
 
 	// Experiment 2: the full redesign (paper §4.5).

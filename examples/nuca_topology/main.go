@@ -5,6 +5,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"wsmalloc"
 	"wsmalloc/internal/topology"
@@ -64,5 +65,15 @@ func main() {
 	}
 	fmt.Println("\ntransfer cache reuse locality:")
 	demo(wsmalloc.Baseline(), "centralized (legacy)")
-	demo(wsmalloc.Baseline().WithFeature(wsmalloc.FeatureNUCATransferCache), "NUCA-aware")
+	// The paper's redesigns are named design points: the baseline with
+	// one tier's policy changed.
+	nuca, err := wsmalloc.ParseDesignPoint("nuca-transfer-cache")
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg, err := wsmalloc.ConfigForDesign(nuca)
+	if err != nil {
+		log.Fatal(err)
+	}
+	demo(cfg, "NUCA-aware")
 }

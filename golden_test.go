@@ -6,12 +6,6 @@ package wsmalloc_test
 // BEFORE any hot-path optimization, and TestHotPathGoldenEquivalence
 // fails if a single byte of any export changes afterwards.
 //
-// TestFastPathMatchesSlowPath is the differential half of the net: it
-// re-runs the same scenarios with every tier policy wrapped in a
-// delegating adapter whose concrete type the monomorphized fast path
-// cannot recognize, forcing the dynamic interface-dispatch path, and
-// requires the exports to stay byte-identical to the fast path's.
-//
 // Regenerate goldens (only when an intentional behaviour change lands):
 //
 //	go test -run TestHotPathGoldenEquivalence -update ./...
@@ -25,11 +19,6 @@ import (
 	"testing"
 
 	"wsmalloc"
-	"wsmalloc/internal/centralfreelist"
-	"wsmalloc/internal/pageheap"
-	"wsmalloc/internal/percpu"
-	"wsmalloc/internal/span"
-	"wsmalloc/internal/transfercache"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files")
@@ -202,120 +191,6 @@ func TestHotPathGoldenEquivalence(t *testing.T) {
 				checkGolden(t, fmt.Sprintf("seed%d_designspace.csv", seed),
 					designspaceExport(t, seed))
 			})
-		})
-	}
-}
-
-// --- differential fast/slow-path test -------------------------------
-//
-// The monomorphized fast path engages only when a tier's resolved policy
-// is one of the built-in concrete types. These adapters delegate to the
-// built-ins but have distinct concrete types, so setting them as explicit
-// policies forces the interface-dispatch slow path with identical
-// behaviour.
-
-type slowResizer struct{ inner percpu.Resizer }
-
-func (s slowResizer) Resize(c *percpu.Caches) { s.inner.Resize(c) }
-
-type slowPlacement struct{ inner transfercache.Placement }
-
-func (s slowPlacement) UsesDomains() bool { return s.inner.UsesDomains() }
-func (s slowPlacement) AllocFrom(t *transfercache.TransferCaches, class, domain int) int {
-	return s.inner.AllocFrom(t, class, domain)
-}
-func (s slowPlacement) FreeTo(t *transfercache.TransferCaches, class, domain int) int {
-	return s.inner.FreeTo(t, class, domain)
-}
-func (s slowPlacement) FreeOverflow(t *transfercache.TransferCaches, class, domain int) int {
-	return s.inner.FreeOverflow(t, class, domain)
-}
-
-type slowSelector struct{ inner centralfreelist.SpanSelector }
-
-func (s slowSelector) Lists() int { return s.inner.Lists() }
-func (s slowSelector) ListFor(numLists, live int) int {
-	return s.inner.ListFor(numLists, live)
-}
-func (s slowSelector) Pick(l *centralfreelist.List) (*span.Span, int) { return s.inner.Pick(l) }
-
-type slowClassifier struct{ inner pageheap.LifetimeClassifier }
-
-func (s slowClassifier) Classify(classIndex, objectsPerSpan int, feed pageheap.LifetimeFeedback) pageheap.Lifetime {
-	return s.inner.Classify(classIndex, objectsPerSpan, feed)
-}
-
-// slowConfig rebuilds cfg with every tier's effective policy wrapped in a
-// delegating adapter, pinning the allocator to dynamic dispatch.
-func slowConfig(cfg wsmalloc.Config) wsmalloc.Config {
-	// percpu: mirror resolveResizer. A static front end resolves to no
-	// resizer at all; there is nothing to wrap (or monomorphize).
-	if cfg.PerCPU.Resizer != nil {
-		cfg.PerCPU.Resizer = slowResizer{cfg.PerCPU.Resizer}
-	} else if cfg.PerCPU.Heterogeneous {
-		cfg.PerCPU.Resizer = slowResizer{percpu.StealingResizer{}}
-	}
-
-	// transfercache: mirror resolvePlacement.
-	if cfg.Transfer.Placement != nil {
-		cfg.Transfer.Placement = slowPlacement{cfg.Transfer.Placement}
-	} else if cfg.Transfer.NUCAAware {
-		cfg.Transfer.Placement = slowPlacement{transfercache.NUCAPlacement{}}
-	} else {
-		cfg.Transfer.Placement = slowPlacement{transfercache.CentralizedPlacement{}}
-	}
-
-	// centralfreelist: mirror resolveSelector.
-	if cfg.CFL.Selector != nil {
-		cfg.CFL.Selector = slowSelector{cfg.CFL.Selector}
-	} else if cfg.CFL.Prioritize {
-		cfg.CFL.Selector = slowSelector{centralfreelist.PrioritizedSelector{NumLists: cfg.CFL.NumLists}}
-	} else {
-		cfg.CFL.Selector = slowSelector{centralfreelist.LegacySelector{}}
-	}
-
-	// classifier: mirror centralfreelist.New's default.
-	if cfg.CFL.Classifier != nil {
-		cfg.CFL.Classifier = slowClassifier{cfg.CFL.Classifier}
-	} else {
-		cfg.CFL.Classifier = slowClassifier{pageheap.CapacityClassifier{Threshold: cfg.CFL.SpanLifetimeThreshold}}
-	}
-	return cfg
-}
-
-// TestFastPathMatchesSlowPath runs the monomorphized default-policy path
-// and the forced interface-dispatch path side by side on identical seeds
-// and requires byte-identical canonical exports.
-func TestFastPathMatchesSlowPath(t *testing.T) {
-	designs := goldenDesigns(t)
-	baseline := designs[0]
-	for _, seed := range goldenSeeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			for _, d := range designs {
-				d := d
-				t.Run(d.name, func(t *testing.T) {
-					fastProm, fastHeapz := fleetExports(t, seed, baseline.config, d.config,
-						baseline.point.String(), d.point.String())
-					slowProm, slowHeapz := fleetExports(t, seed, slowConfig(baseline.config), slowConfig(d.config),
-						baseline.point.String(), d.point.String())
-					if !bytes.Equal(fastProm, slowProm) {
-						t.Errorf("prometheus export: fast path differs from slow path at byte %d",
-							firstDiff(fastProm, slowProm))
-					}
-					if !bytes.Equal(fastHeapz, slowHeapz) {
-						t.Errorf("heapz export: fast path differs from slow path at byte %d",
-							firstDiff(fastHeapz, slowHeapz))
-					}
-
-					fastZ := pageheapzExport(t, seed, d.config)
-					slowZ := pageheapzExport(t, seed, slowConfig(d.config))
-					if !bytes.Equal(fastZ, slowZ) {
-						t.Errorf("pageheapz export: fast path differs from slow path at byte %d",
-							firstDiff(fastZ, slowZ))
-					}
-				})
-			}
 		})
 	}
 }

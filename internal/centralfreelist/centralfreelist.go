@@ -20,27 +20,15 @@ import (
 
 // Config controls central free list behaviour.
 type Config struct {
-	// Prioritize enables span prioritization (§4.3). When false, a
-	// singleton list is used and allocations come from its front. It is
-	// the legacy selector for Selector: when Selector is nil, true
-	// selects PrioritizedSelector{Lists: NumLists} and false the
-	// singleton LegacySelector.
-	Prioritize bool
-	// NumLists is L, the number of occupancy-indexed lists (paper: 8).
+	// Policy is the span-management policy (span prioritization, §4.3).
+	Policy Policy
+	// NumLists is L, the number of occupancy-indexed lists the
+	// prioritized policies keep (paper: 8).
 	NumLists int
-	// Selector is the span-management policy. When nil, the Prioritize
-	// boolean picks the built-in policy (the policy registry sets both
-	// so the two stay in sync).
-	Selector SpanSelector
 	// SpanLifetimeThreshold is C: spans with capacity < C are classified
-	// short-lived for the lifetime-aware hugepage filler (paper: 16).
-	// It parameterizes the default capacity classifier when Classifier
-	// is nil.
+	// short-lived by the capacity rule of the lifetime-aware hugepage
+	// filler (paper: 16).
 	SpanLifetimeThreshold int
-	// Classifier predicts the lifetime class of this list's spans for
-	// the lifetime-aware filler. When nil, the capacity rule with
-	// SpanLifetimeThreshold is used.
-	Classifier pageheap.LifetimeClassifier
 }
 
 // maxFreeSpans bounds the released-span structs a List parks for reuse;
@@ -49,12 +37,12 @@ const maxFreeSpans = 64
 
 // DefaultConfig returns the redesigned configuration from the paper.
 func DefaultConfig() Config {
-	return Config{Prioritize: true, NumLists: 8, SpanLifetimeThreshold: 16}
+	return Config{Policy: FullestFirst, NumLists: 8, SpanLifetimeThreshold: 16}
 }
 
 // LegacyConfig returns the pre-redesign singleton-list configuration.
 func LegacyConfig() Config {
-	return Config{Prioritize: false, NumLists: 1, SpanLifetimeThreshold: 16}
+	return Config{Policy: Legacy, NumLists: 1, SpanLifetimeThreshold: 16}
 }
 
 // Stats captures per-class central free list telemetry.
@@ -92,16 +80,7 @@ type List struct {
 	lifetime      pageheap.Lifetime
 	nextSeq       int64
 
-	sel SpanSelector
-	// selKind lets listIndexFor and pickSpan inline the built-in
-	// selector policies; selCustom falls back to interface dispatch.
-	kind       selKind
-	classifier pageheap.LifetimeClassifier
-	// classifierIsCapacity marks the built-in capacity rule so growSpan
-	// can classify without interface dispatch.
-	classifierIsCapacity bool
-	capacityThreshold    int
-	feed                 pageheap.LifetimeFeedback
+	feed pageheap.LifetimeFeedback
 
 	// freeSpans holds released span structs for reuse: a span returned
 	// to the pageheap is unreachable from every tier (the pagemap range
@@ -121,65 +100,34 @@ func New(c sizeclass.Class, cfg Config, ph *pageheap.PageHeap, pm *mem.PageMap[*
 	if cfg.NumLists < 1 {
 		panic(fmt.Sprintf("centralfreelist: NumLists = %d", cfg.NumLists))
 	}
-	sel := resolveSelector(cfg)
-	n := sel.Lists()
-	if n < 1 {
-		panic(fmt.Sprintf("centralfreelist: selector %T keeps %d lists", sel, n))
-	}
-	classifier := cfg.Classifier
-	if classifier == nil {
-		classifier = pageheap.CapacityClassifier{Threshold: cfg.SpanLifetimeThreshold}
-	}
 	l := &List{
-		class:      c,
-		cfg:        cfg,
-		ph:         ph,
-		pm:         pm,
-		nonempty:   make([]span.List, n),
-		sel:        sel,
-		kind:       selectorKindOf(sel),
-		classifier: classifier,
+		class:    c,
+		cfg:      cfg,
+		ph:       ph,
+		pm:       pm,
+		nonempty: make([]span.List, cfg.lists()),
 	}
-	l.installClassifier(classifier)
-	l.lifetime = classifier.Classify(c.Index, c.ObjectsPerSpan, nil)
+	l.lifetime = l.classify()
 	return l
 }
 
-// installClassifier records the classifier plus its monomorphized
-// capacity-rule fast path (shared by New and Swap).
-func (l *List) installClassifier(classifier pageheap.LifetimeClassifier) {
-	l.classifier = classifier
-	l.classifierIsCapacity = false
-	l.capacityThreshold = 0
-	if cap, ok := classifier.(pageheap.CapacityClassifier); ok {
-		l.classifierIsCapacity = true
-		l.capacityThreshold = cap.Threshold
-		if l.capacityThreshold <= 0 {
-			l.capacityThreshold = pageheap.DefaultLifetimeThreshold
-		}
-	}
+// classify predicts the lifetime class of this list's spans under the
+// pageheap's filler policy.
+func (l *List) classify() pageheap.Lifetime {
+	return l.ph.Classify(l.class.Index, l.class.ObjectsPerSpan, l.cfg.SpanLifetimeThreshold, l.feed)
 }
 
-// Swap retunes the free list to a new configuration mid-run: the
-// selector, its monomorphized dispatch kind, and the lifetime
-// classifier are re-resolved, and every partially-filled span is
-// deterministically refiled into the new occupancy-list geometry
-// (walking the old lists in index order, front to back). Full spans
-// stay parked, the recycled-span stash survives, and the cumulative
-// counters carry over. A Swap on a freshly constructed list is
-// indistinguishable from construction with cfg.
+// Swap retunes the free list to a new configuration mid-run: the span
+// policy is replaced, the lifetime class is re-predicted under the
+// pageheap's (already swapped) filler policy, and every partially-filled
+// span is deterministically refiled into the new occupancy-list geometry
+// (walking the old lists in index order, front to back). Full spans stay
+// parked, the recycled-span stash survives, and the cumulative counters
+// carry over. A Swap on a freshly constructed list is indistinguishable
+// from construction with cfg.
 func (l *List) Swap(cfg Config) {
 	if cfg.NumLists < 1 {
 		panic(fmt.Sprintf("centralfreelist: NumLists = %d", cfg.NumLists))
-	}
-	sel := resolveSelector(cfg)
-	n := sel.Lists()
-	if n < 1 {
-		panic(fmt.Sprintf("centralfreelist: selector %T keeps %d lists", sel, n))
-	}
-	classifier := cfg.Classifier
-	if classifier == nil {
-		classifier = pageheap.CapacityClassifier{Threshold: cfg.SpanLifetimeThreshold}
 	}
 	var spans []*span.Span
 	for i := range l.nonempty {
@@ -189,20 +137,18 @@ func (l *List) Swap(cfg Config) {
 		}
 	}
 	l.cfg = cfg
-	l.sel = sel
-	l.kind = selectorKindOf(sel)
-	l.installClassifier(classifier)
-	l.lifetime = classifier.Classify(l.class.Index, l.class.ObjectsPerSpan, l.feed)
-	l.nonempty = make([]span.List, n)
+	l.lifetime = l.classify()
+	l.nonempty = make([]span.List, cfg.lists())
 	for _, s := range spans {
 		l.relink(s)
 	}
 }
 
-// SetLifetimeFeedback installs the observed-lifetime feed the classifier
-// may consult (the allocator wires the heap profiler's per-class decade
-// accumulator here). Classification happens at span growth, so feedback
-// steers every span created after installation.
+// SetLifetimeFeedback installs the observed-lifetime feed the
+// heap-profile filler policy consults (the allocator wires the heap
+// profiler's per-class decade accumulator here). Classification happens
+// at span growth, so feedback steers every span created after
+// installation.
 func (l *List) SetLifetimeFeedback(fn pageheap.LifetimeFeedback) { l.feed = fn }
 
 // Class returns the size class served.
@@ -212,18 +158,13 @@ func (l *List) Class() sizeclass.Class { return l.class }
 func (l *List) Lifetime() pageheap.Lifetime { return l.lifetime }
 
 // listIndexFor maps a span's live allocation count to its list via the
-// selector policy (the paper's max(0, L-log2(A)) rule for the
-// prioritized selectors, the singleton list otherwise). The built-in
-// policies are inlined; custom selectors pay interface dispatch.
+// span policy (the paper's max(0, L-log2(A)) rule for the prioritized
+// policies, the singleton list otherwise).
 func (l *List) listIndexFor(live int) int {
-	switch l.kind {
-	case selLegacy:
+	if l.cfg.Policy == Legacy {
 		return 0
-	case selPrioritized, selBestFit:
-		return prioritizedListFor(len(l.nonempty), live)
-	default:
-		return l.sel.ListFor(len(l.nonempty), live)
 	}
+	return prioritizedListFor(len(l.nonempty), live)
 }
 
 // relink places s in the correct occupancy list (or full parking).
@@ -279,20 +220,15 @@ func (l *List) AllocBatch(out []uint64) (int, error) {
 
 // pickSpan returns a span with free capacity, unlinked from its list,
 // plus the occupancy-list index it came from (-1 for a freshly grown
-// span). The selector policy chooses among existing spans; growth is the
+// span). The span policy chooses among existing spans; growth is the
 // shared fallback.
 func (l *List) pickSpan() (*span.Span, int, error) {
 	var s *span.Span
 	var i int
-	switch l.kind {
-	case selLegacy, selPrioritized:
+	if l.cfg.Policy == BestFit {
+		s, i = bestFitPick(l)
+	} else {
 		s, i = frontPick(l)
-	case selBestFit:
-		// Pick scans l.nonempty directly; the selector's NumLists only
-		// sizes the lists at construction, so the zero value is fine.
-		s, i = BestFitSelector{}.Pick(l)
-	default:
-		s, i = l.sel.Pick(l)
 	}
 	if s != nil {
 		return s, i, nil
@@ -303,18 +239,10 @@ func (l *List) pickSpan() (*span.Span, int, error) {
 
 // growSpan fetches a fresh span from the pageheap, propagating its
 // allocation failure. The lifetime class is re-predicted per growth so
-// feedback classifiers can change their answer as observations accrue.
+// the heap-profile filler policy can change its answer as observations
+// accrue.
 func (l *List) growSpan() (*span.Span, error) {
-	if l.classifierIsCapacity {
-		// Inline the built-in capacity rule (no feedback consultation).
-		if l.class.ObjectsPerSpan < l.capacityThreshold {
-			l.lifetime = pageheap.LifetimeShort
-		} else {
-			l.lifetime = pageheap.LifetimeLong
-		}
-	} else {
-		l.lifetime = l.classifier.Classify(l.class.Index, l.class.ObjectsPerSpan, l.feed)
-	}
+	l.lifetime = l.classify()
 	start, err := l.ph.Alloc(l.class.Pages, l.lifetime)
 	if err != nil {
 		return nil, err

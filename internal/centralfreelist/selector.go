@@ -6,52 +6,40 @@ import (
 	"wsmalloc/internal/span"
 )
 
-// SpanSelector is the central free list's span-management policy: how
-// many occupancy lists a class keeps, which list a span with a given
-// live count belongs in, and which span serves the next allocation.
-// Implementations must be stateless value types — core.Config is copied
-// freely across fleet arms and goroutines.
-type SpanSelector interface {
-	// Lists returns the number of occupancy-indexed nonempty lists.
-	Lists() int
-	// ListFor maps a span's live allocation count to its list index in
-	// [0, numLists); allocations are served from the lowest-indexed
-	// nonempty list first.
-	ListFor(numLists, live int) int
-	// Pick unlinks and returns the span the next allocation batch should
-	// fill, plus the list index it came from, or (nil, -1) when every
-	// nonempty list is empty and a fresh span must be grown.
-	Pick(l *List) (*span.Span, int)
-}
-
-// selKind discriminates the built-in selectors so the per-operation
-// paths (listIndexFor on every free, Pick on every batch) can inline
-// their policy instead of paying interface dispatch. Custom selectors
-// fall back to the interface.
-type selKind uint8
+// Policy is the central free list's span-management policy: how many
+// occupancy lists a class keeps, which list a span with a given live
+// count belongs in, and which span serves the next allocation.
+type Policy uint8
 
 const (
-	selCustom selKind = iota
-	selLegacy
-	selPrioritized
-	selBestFit
+	// Legacy is the pre-redesign policy: one list, allocations from its
+	// front, no occupancy ordering.
+	Legacy Policy = iota
+	// FullestFirst is the paper's §4.3 policy: NumLists occupancy-indexed
+	// lists filed by max(0, L-log2(live)) with allocations served from
+	// the front of the fullest nonempty list, so lightly-used spans
+	// drain and return to the pageheap.
+	FullestFirst
+	// BestFit keeps FullestFirst's occupancy lists but, within the
+	// fullest nonempty bucket, serves the span with the lowest start
+	// address instead of the most recently relinked one. Address-ordered
+	// placement concentrates live objects at the bottom of the address
+	// space, which empties high spans sooner and tightens the hugepage
+	// footprint at a small scan cost per batch.
+	BestFit
 )
 
-func selectorKindOf(s SpanSelector) selKind {
-	switch s.(type) {
-	case LegacySelector:
-		return selLegacy
-	case PrioritizedSelector:
-		return selPrioritized
-	case BestFitSelector:
-		return selBestFit
-	default:
-		return selCustom
+// lists returns the number of occupancy-indexed nonempty lists the
+// policy keeps.
+func (c Config) lists() int {
+	if c.Policy == Legacy {
+		return 1
 	}
+	return c.NumLists
 }
 
 // prioritizedListFor is the paper's max(0, L-log2(live)) rule clamped
-// into [0, L-1] — shared by the prioritized and best-fit selectors.
+// into [0, L-1] — shared by the prioritized and best-fit policies.
 func prioritizedListFor(numLists, live int) int {
 	if live <= 0 {
 		return numLists - 1
@@ -63,21 +51,9 @@ func prioritizedListFor(numLists, live int) int {
 	return idx
 }
 
-// resolveSelector maps a config to its effective policy: an explicit
-// Selector wins, otherwise the legacy Prioritize boolean selects the
-// paper's L-list policy sized by NumLists, otherwise the singleton list.
-func resolveSelector(cfg Config) SpanSelector {
-	if cfg.Selector != nil {
-		return cfg.Selector
-	}
-	if cfg.Prioritize {
-		return PrioritizedSelector{NumLists: cfg.NumLists}
-	}
-	return LegacySelector{}
-}
-
-// frontPick returns the front span of the lowest-indexed nonempty list —
-// the shared fast path of LegacySelector and PrioritizedSelector.
+// frontPick unlinks and returns the front span of the lowest-indexed
+// nonempty list plus its list index, or (nil, -1) when every list is
+// empty — the pick of the legacy and prioritized policies.
 func frontPick(l *List) (*span.Span, int) {
 	for i := 0; i < len(l.nonempty); i++ {
 		if s := l.nonempty[i].Front(); s != nil {
@@ -88,75 +64,9 @@ func frontPick(l *List) (*span.Span, int) {
 	return nil, -1
 }
 
-// LegacySelector is the pre-redesign policy: one list, allocations from
-// its front, no occupancy ordering.
-type LegacySelector struct{}
-
-// Lists implements SpanSelector.
-func (LegacySelector) Lists() int { return 1 }
-
-// ListFor implements SpanSelector.
-func (LegacySelector) ListFor(numLists, live int) int { return 0 }
-
-// Pick implements SpanSelector.
-func (LegacySelector) Pick(l *List) (*span.Span, int) { return frontPick(l) }
-
-// PrioritizedSelector is the paper's §4.3 policy: L occupancy-indexed
-// lists filed by max(0, L-log2(live)) with allocations served from the
-// fullest spans, so lightly-used spans drain and return to the pageheap.
-type PrioritizedSelector struct {
-	// NumLists is L; zero means 8 (the paper's choice).
-	NumLists int
-}
-
-func (p PrioritizedSelector) lists() int {
-	if p.NumLists > 0 {
-		return p.NumLists
-	}
-	return 8
-}
-
-// Lists implements SpanSelector.
-func (p PrioritizedSelector) Lists() int { return p.lists() }
-
-// ListFor implements SpanSelector, following the paper's
-// max(0, L-log2(live)) rule clamped into [0, L-1].
-func (p PrioritizedSelector) ListFor(numLists, live int) int {
-	return prioritizedListFor(numLists, live)
-}
-
-// Pick implements SpanSelector: the front of the fullest nonempty list.
-func (p PrioritizedSelector) Pick(l *List) (*span.Span, int) { return frontPick(l) }
-
-// BestFitSelector keeps the occupancy-indexed lists of the prioritized
-// policy but, within the fullest nonempty bucket, serves the span with
-// the lowest start address instead of the most recently relinked one.
-// Address-ordered placement concentrates live objects at the bottom of
-// the address space, which empties high spans sooner and tightens the
-// hugepage footprint at a small scan cost per batch.
-type BestFitSelector struct {
-	// NumLists is L; zero means 8.
-	NumLists int
-}
-
-func (b BestFitSelector) lists() int {
-	if b.NumLists > 0 {
-		return b.NumLists
-	}
-	return 8
-}
-
-// Lists implements SpanSelector.
-func (b BestFitSelector) Lists() int { return b.lists() }
-
-// ListFor implements SpanSelector (the prioritized occupancy rule).
-func (b BestFitSelector) ListFor(numLists, live int) int {
-	return PrioritizedSelector{NumLists: b.NumLists}.ListFor(numLists, live)
-}
-
-// Pick implements SpanSelector: the lowest-address span of the fullest
-// nonempty list.
-func (b BestFitSelector) Pick(l *List) (*span.Span, int) {
+// bestFitPick is the BestFit pick: the lowest-address span of the
+// fullest nonempty list.
+func bestFitPick(l *List) (*span.Span, int) {
 	for i := 0; i < len(l.nonempty); i++ {
 		var best *span.Span
 		l.nonempty[i].Each(func(s *span.Span) {

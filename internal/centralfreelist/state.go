@@ -32,8 +32,8 @@ func (l *List) decodeSpanList(d *snapshot.Decoder, dst *span.List) {
 
 // EncodeState serializes one class's free list: every owned span (in
 // list order, occupancy lists then full parking) and the counters. The
-// selector, classifier, and pageheap wiring are reconstructed by New
-// before DecodeState overlays state.
+// config (span policy included) and pageheap wiring are reconstructed by
+// New before DecodeState overlays state.
 func (l *List) EncodeState(e *snapshot.Encoder) {
 	e.Section("cfl")
 	e.Int(l.class.Index)

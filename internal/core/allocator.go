@@ -122,7 +122,7 @@ func New(cfg Config, topo *topology.Topology) *Allocator {
 		a.cfls[i] = centralfreelist.New(a.table.Class(i), cfg.CFL, a.heap, a.pagemap)
 	}
 	tcfg := cfg.Transfer
-	if tcfg.ResolvedPlacement().UsesDomains() {
+	if tcfg.Policy.UsesDomains() {
 		tcfg.NumDomains = topo.NumDomains()
 	}
 	a.transfer = transfercache.New(tcfg, n, func(c int) int { return a.table.Class(c).Size },
@@ -152,9 +152,9 @@ func New(cfg Config, topo *topology.Topology) *Allocator {
 	a.hp = heapprof.New(cfg.HeapProfile)
 	if a.hp != nil {
 		// Feed observed per-class lifetime decades to the central free
-		// lists' lifetime classifiers. The built-in capacity classifiers
-		// ignore the feed, so installing it unconditionally changes
-		// nothing unless a feedback classifier is configured.
+		// lists' lifetime classification. Only the heap-profile filler
+		// policy consults the feed, so installing it unconditionally
+		// changes nothing under the other policies.
 		for _, l := range a.cfls {
 			l.SetLifetimeFeedback(a.hp.ClassLifetime)
 		}

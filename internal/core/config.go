@@ -8,8 +8,6 @@
 package core
 
 import (
-	"fmt"
-
 	"wsmalloc/internal/centralfreelist"
 	"wsmalloc/internal/check"
 	"wsmalloc/internal/heapprof"
@@ -57,8 +55,9 @@ func DefaultTierLatency() TierLatencyNs {
 	}
 }
 
-// Config selects the design point: each of the paper's four redesigns can
-// be toggled independently, which is how the fleet A/B experiments are
+// Config selects the design point: each tier's config names its policy
+// in one enum field, so each of the paper's four redesigns can be
+// toggled independently, which is how the fleet A/B experiments are
 // expressed.
 type Config struct {
 	// PerCPU configures the front-end (static vs heterogeneous, §4.1).
@@ -114,21 +113,31 @@ type Config struct {
 }
 
 // ConfigForDesign builds the config for one point in the allocator
-// design space: the registry applies the named policy of each tier to
-// the baseline tier configurations, and the tier-independent constants
-// (latency model, sampling interval, release cadence) are layered on
-// top. Telemetry, heap profiling, sanitizer and fault injection stay at
-// their zero (disabled) values — callers opt in per run.
+// design space: each tier's baseline configuration with the design's
+// policy selected (the stealing per-CPU policies run at the halved
+// 1.5 MiB budget, and the occupancy-list span policies keep the paper's
+// L = 8 lists), plus the tier-independent constants (latency model,
+// sampling interval, release cadence). Telemetry, heap profiling,
+// sanitizer and fault injection stay at their zero (disabled) values —
+// callers opt in per run.
 func ConfigForDesign(d policy.DesignPoint) (Config, error) {
-	t, err := d.Tiers()
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return Config{}, err
 	}
+	tc := transfercache.DefaultConfig()
+	tc.Policy = d.TC
+	cfl := centralfreelist.LegacyConfig()
+	if d.CFL != centralfreelist.Legacy {
+		cfl = centralfreelist.DefaultConfig()
+		cfl.Policy = d.CFL
+	}
+	ph := pageheap.DefaultConfig()
+	ph.Filler = d.Filler
 	return Config{
-		PerCPU:                  t.PerCPU,
-		Transfer:                t.Transfer,
-		CFL:                     t.CFL,
-		PageHeap:                t.PageHeap,
+		PerCPU:                  percpu.ConfigFor(d.PerCPU),
+		Transfer:                tc,
+		CFL:                     cfl,
+		PageHeap:                ph,
 		Latency:                 DefaultTierLatency(),
 		SampleIntervalBytes:     2 << 20,
 		PlunderIntervalNs:       10e6,
@@ -162,81 +171,4 @@ func BaselineConfig() Config {
 // policy.Optimized() design point.
 func OptimizedConfig() Config {
 	return mustConfigForDesign(policy.Optimized())
-}
-
-// Feature identifies one of the paper's four redesigns for A/B toggling.
-type Feature int
-
-const (
-	// FeatureHeterogeneousPerCPU is §4.1.
-	FeatureHeterogeneousPerCPU Feature = iota
-	// FeatureNUCATransferCache is §4.2.
-	FeatureNUCATransferCache
-	// FeatureSpanPrioritization is §4.3.
-	FeatureSpanPrioritization
-	// FeatureLifetimeAwareFiller is §4.4.
-	FeatureLifetimeAwareFiller
-)
-
-// String names the feature as in the paper.
-func (f Feature) String() string {
-	switch f {
-	case FeatureHeterogeneousPerCPU:
-		return "heterogeneous-percpu-cache"
-	case FeatureNUCATransferCache:
-		return "nuca-transfer-cache"
-	case FeatureSpanPrioritization:
-		return "span-prioritization"
-	case FeatureLifetimeAwareFiller:
-		return "lifetime-aware-filler"
-	default:
-		return "unknown-feature"
-	}
-}
-
-// featurePolicy maps each Feature onto exactly one registered policy;
-// WithFeature and the feature→design translation in the CLIs both go
-// through this table, so a feature toggle and its design-point spelling
-// can never drift apart.
-var featurePolicy = map[Feature]struct{ Tier, Name string }{
-	FeatureHeterogeneousPerCPU: {policy.TierPerCPU, "hetero"},
-	FeatureNUCATransferCache:   {policy.TierTC, "nuca"},
-	FeatureSpanPrioritization:  {policy.TierCFL, "prio8"},
-	FeatureLifetimeAwareFiller: {policy.TierFiller, "capacity"},
-}
-
-// PolicyRef names the (tier, policy) registry entry this feature
-// enables, or ok=false for an unknown feature.
-func (f Feature) PolicyRef() (tier, name string, ok bool) {
-	ref, ok := featurePolicy[f]
-	return ref.Tier, ref.Name, ok
-}
-
-// DesignForFeature is the baseline design point with one feature's
-// policy enabled — how a legacy -feature flag is spelled in the design
-// space.
-func DesignForFeature(f Feature) (policy.DesignPoint, error) {
-	tier, name, ok := f.PolicyRef()
-	if !ok {
-		return policy.DesignPoint{}, fmt.Errorf("core: unknown feature %d", f)
-	}
-	return policy.Baseline().WithPolicy(tier, name)
-}
-
-// WithFeature returns a copy of c with the given redesign enabled, by
-// applying the feature's registered policy to c's tier configurations.
-// Unknown features return c unchanged (matching the legacy switch).
-func (c Config) WithFeature(f Feature) Config {
-	tier, name, ok := f.PolicyRef()
-	if !ok {
-		return c
-	}
-	t := policy.TierConfigs{
-		PerCPU: c.PerCPU, Transfer: c.Transfer, CFL: c.CFL, PageHeap: c.PageHeap,
-	}
-	if err := policy.Apply(tier, name, &t); err != nil {
-		panic(err) // featurePolicy names only registered policies
-	}
-	c.PerCPU, c.Transfer, c.CFL, c.PageHeap = t.PerCPU, t.Transfer, t.CFL, t.PageHeap
-	return c
 }

@@ -4,9 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"wsmalloc/internal/centralfreelist"
+	"wsmalloc/internal/pageheap"
+	"wsmalloc/internal/percpu"
+	"wsmalloc/internal/policy"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/sizeclass"
 	"wsmalloc/internal/topology"
+	"wsmalloc/internal/transfercache"
 )
 
 func newAlloc(cfg Config) *Allocator {
@@ -290,32 +295,30 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestWithFeatureToggles(t *testing.T) {
-	base := BaselineConfig()
-	for _, f := range []Feature{
-		FeatureHeterogeneousPerCPU, FeatureNUCATransferCache,
-		FeatureSpanPrioritization, FeatureLifetimeAwareFiller,
+	// Each of the paper's four feature shorthands turns on its tier's
+	// paper policy.
+	for _, c := range []struct {
+		name string
+		on   func(Config) bool
+	}{
+		{"heterogeneous-percpu-cache", func(c Config) bool { return c.PerCPU.Policy == percpu.Hetero }},
+		{"nuca-transfer-cache", func(c Config) bool { return c.Transfer.Policy == transfercache.NUCA }},
+		{"span-prioritization", func(c Config) bool { return c.CFL.Policy == centralfreelist.FullestFirst }},
+		{"lifetime-aware-filler", func(c Config) bool { return c.PageHeap.Filler == pageheap.FillerCapacity }},
 	} {
-		c := base.WithFeature(f)
-		switch f {
-		case FeatureHeterogeneousPerCPU:
-			if !c.PerCPU.Heterogeneous {
-				t.Errorf("%v not enabled", f)
-			}
-		case FeatureNUCATransferCache:
-			if !c.Transfer.NUCAAware {
-				t.Errorf("%v not enabled", f)
-			}
-		case FeatureSpanPrioritization:
-			if !c.CFL.Prioritize {
-				t.Errorf("%v not enabled", f)
-			}
-		case FeatureLifetimeAwareFiller:
-			if !c.PageHeap.LifetimeAware {
-				t.Errorf("%v not enabled", f)
-			}
+		d, err := policy.Parse(c.name)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if f.String() == "unknown-feature" {
-			t.Errorf("feature %d has no name", f)
+		cfg, err := ConfigForDesign(d)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !c.on(cfg) {
+			t.Errorf("%s not enabled", c.name)
+		}
+		if c.on(BaselineConfig()) {
+			t.Errorf("%s already on in the baseline", c.name)
 		}
 	}
 }
@@ -397,7 +400,7 @@ func BenchmarkMallocFreeMixed(b *testing.B) {
 
 func TestMallocHintedRoutesLargeAllocations(t *testing.T) {
 	cfg := BaselineConfig()
-	cfg.PageHeap.LifetimeAware = true
+	cfg.PageHeap.Filler = pageheap.FillerCapacity
 	a := newAlloc(cfg)
 	// Two sub-hugepage large allocations (direct pageheap path) with
 	// opposite hints must not share a hugepage.

@@ -15,14 +15,13 @@ import (
 )
 
 func configs() map[string]core.Config {
-	base := core.BaselineConfig()
 	return map[string]core.Config{
-		"baseline":  base,
+		"baseline":  core.BaselineConfig(),
 		"optimized": core.OptimizedConfig(),
-		"percpu":    base.WithFeature(core.FeatureHeterogeneousPerCPU),
-		"nuca":      base.WithFeature(core.FeatureNUCATransferCache),
-		"spanprio":  base.WithFeature(core.FeatureSpanPrioritization),
-		"lifetime":  base.WithFeature(core.FeatureLifetimeAwareFiller),
+		"percpu":    mustConfig("heterogeneous-percpu-cache"),
+		"nuca":      mustConfig("nuca-transfer-cache"),
+		"spanprio":  mustConfig("span-prioritization"),
+		"lifetime":  mustConfig("lifetime-aware-filler"),
 	}
 }
 

@@ -5,13 +5,15 @@ import (
 )
 
 // ApplyDesignPoint retunes a live allocator to a new design point: each
-// tier's Swap protocol re-derives its policy and cached fast-path state
-// (monomorphized dispatch kinds, capacity tables, occupancy-list
-// geometry) from the new tier configuration, draining cached objects
-// downward — front-end to transfer caches, transfer caches to the
-// central free lists — so no object is stranded under stale geometry.
-// The swap order follows the drain direction: front, transfer, central
-// free lists, then the pageheap.
+// tier's Swap protocol replaces its policy and re-derives its cached
+// state (capacity bounds, domain caches, occupancy-list geometry) from
+// the new tier configuration, draining cached objects downward —
+// front-end to transfer caches, transfer caches to the central free
+// lists — so no object is stranded under stale geometry. The swap order
+// follows the drain direction: front, transfer, then the pageheap ahead
+// of the central free lists, which re-predict their spans' lifetime
+// class under the heap's new filler policy (the heap swap moves no
+// spans, so it commutes with the lists' refiling).
 //
 // Only the four tier configurations change; the tier-independent knobs
 // (latency model, sampling interval, release cadence, telemetry,
@@ -19,22 +21,21 @@ import (
 // canonical string is recorded for snapshots and telemetry, so a
 // checkpoint taken after the swap resumes bit-identically.
 func (a *Allocator) ApplyDesignPoint(d policy.DesignPoint) error {
-	t, err := d.Tiers()
+	t, err := ConfigForDesign(d)
 	if err != nil {
 		return err
 	}
-	tcfg := t.Transfer
-	if tcfg.ResolvedPlacement().UsesDomains() {
-		tcfg.NumDomains = a.topo.NumDomains()
+	if t.Transfer.Policy.UsesDomains() {
+		t.Transfer.NumDomains = a.topo.NumDomains()
 	}
 	a.front.Swap(t.PerCPU)
-	a.transfer.Swap(tcfg)
+	a.transfer.Swap(t.Transfer)
+	a.heap.Swap(t.PageHeap)
 	for _, l := range a.cfls {
 		l.Swap(t.CFL)
 	}
-	a.heap.Swap(t.PageHeap)
 	a.cfg.PerCPU = t.PerCPU
-	a.cfg.Transfer = tcfg
+	a.cfg.Transfer = t.Transfer
 	a.cfg.CFL = t.CFL
 	a.cfg.PageHeap = t.PageHeap
 	a.design = d.String()

@@ -58,7 +58,7 @@ func (d *Daemon) Checkpoint() error {
 		return fmt.Errorf("daemon: no checkpoint directory configured")
 	}
 	for i, ms := range d.machines {
-		if err := writeFileAtomic(d.machinePath(i), d.encodeMachine(ms)); err != nil {
+		if err := snapshot.WriteFileAtomic(d.machinePath(i), d.encodeMachine(ms)); err != nil {
 			return fmt.Errorf("daemon: checkpoint machine %d: %w", ms.m.ID, err)
 		}
 	}
@@ -68,7 +68,7 @@ func (d *Daemon) Checkpoint() error {
 	}
 	// The manifest is written last: its presence implies a complete,
 	// consistent machine-blob set.
-	if err := writeFileAtomic(filepath.Join(d.cfg.CheckpointDir, manifestName), blob); err != nil {
+	if err := snapshot.WriteFileAtomic(filepath.Join(d.cfg.CheckpointDir, manifestName), blob); err != nil {
 		return fmt.Errorf("daemon: checkpoint manifest: %w", err)
 	}
 	d.lastCheckpointTick = d.tick
@@ -242,17 +242,4 @@ func (d *Daemon) restore() error {
 	}
 	d.lastCheckpointTick = d.tick
 	return nil
-}
-
-// writeFileAtomic writes blob to path via a temp file and rename, so a
-// crash mid-write never leaves a torn checkpoint.
-func writeFileAtomic(path string, blob []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

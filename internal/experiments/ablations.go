@@ -3,9 +3,12 @@ package experiments
 import (
 	"fmt"
 
+	"wsmalloc/internal/centralfreelist"
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/pageheap"
 	"wsmalloc/internal/percpu"
+	"wsmalloc/internal/policy"
 	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
 )
@@ -23,7 +26,7 @@ func AblationL(seed uint64, scale Scale) Report {
 	ls := []int{1, 2, 4, 8, 16}
 	lines := make([]string, len(ls))
 	fanOut(len(ls), func(i int) error {
-		cfg := core.BaselineConfig().WithFeature(core.FeatureSpanPrioritization)
+		cfg := designConfig(policy.DesignPoint{CFL: centralfreelist.FullestFirst})
 		cfg.CFL.NumLists = ls[i]
 		rm := fleet.RunMachine(m, cfg, dur)
 		st := rm.Result.Stats
@@ -52,7 +55,7 @@ func AblationC(seed uint64, scale Scale) Report {
 	cs := []int{2, 4, 8, 16, 32, 64}
 	lines := make([]string, len(cs))
 	fanOut(len(cs), func(i int) error {
-		cfg := core.BaselineConfig().WithFeature(core.FeatureLifetimeAwareFiller)
+		cfg := designConfig(policy.DesignPoint{Filler: pageheap.FillerCapacity})
 		cfg.CFL.SpanLifetimeThreshold = cs[i]
 		rm := fleet.RunMachineOpts(m, cfg, wopts)
 		lines[i] = fmt.Sprintf("C=%-3d hugepage coverage %6.2f%%   avg heap %7.1f MiB",
@@ -87,7 +90,7 @@ func AblationCapacity(seed uint64, scale Scale) Report {
 	fanOut(len(pts), func(i int) error {
 		cfg := core.BaselineConfig()
 		if pts[i].dynamic {
-			cfg.PerCPU = percpu.HeterogeneousConfig()
+			cfg.PerCPU = percpu.ConfigFor(percpu.Hetero)
 		}
 		cfg.PerCPU.CapacityBytes = int64(pts[i].capMiB * (1 << 20))
 		rm := fleet.RunMachine(m, cfg, dur)

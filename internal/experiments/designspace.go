@@ -8,12 +8,16 @@ import (
 	"strconv"
 	"sync"
 
+	"wsmalloc/internal/centralfreelist"
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/pageheap"
+	"wsmalloc/internal/percpu"
 	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/policy"
 	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/topology"
+	"wsmalloc/internal/transfercache"
 	"wsmalloc/internal/workload"
 )
 
@@ -71,40 +75,34 @@ func designSpaceParams() ([]policy.DesignPoint, string) {
 // appears in at least one point.
 func DefaultDesignGrid() []policy.DesignPoint {
 	var pts []policy.DesignPoint
-	for _, pc := range []string{"static", "hetero"} {
-		for _, tc := range []string{"central", "nuca"} {
-			for _, cfl := range []string{"legacy", "prio8"} {
-				for _, fl := range []string{"none", "capacity"} {
+	for _, pc := range []percpu.Policy{percpu.Static, percpu.Hetero} {
+		for _, tc := range []transfercache.Policy{transfercache.Central, transfercache.NUCA} {
+			for _, cfl := range []centralfreelist.Policy{centralfreelist.Legacy, centralfreelist.FullestFirst} {
+				for _, fl := range []pageheap.Policy{pageheap.FillerNone, pageheap.FillerCapacity} {
 					pts = append(pts, policy.DesignPoint{PerCPU: pc, TC: tc, CFL: cfl, Filler: fl})
 				}
 			}
 		}
 	}
-	for _, ref := range [][2]string{
-		{policy.TierPerCPU, "ewma"},
-		{policy.TierTC, "pressure"},
-		{policy.TierCFL, "bestfit"},
-		{policy.TierFiller, "heapprof"},
-	} {
-		d, err := policy.Optimized().WithPolicy(ref[0], ref[1])
-		if err != nil {
-			panic(err) // the default grid names only registered policies
-		}
-		pts = append(pts, d)
-	}
-	return pts
+	ewma, pressure, bestfit, heapprof := policy.Optimized(), policy.Optimized(), policy.Optimized(), policy.Optimized()
+	ewma.PerCPU = percpu.EWMA
+	pressure.TC = transfercache.Pressure
+	bestfit.CFL = centralfreelist.BestFit
+	heapprof.Filler = pageheap.FillerHeapProf
+	return append(pts, ewma, pressure, bestfit, heapprof)
 }
 
 // RegistryGrid is the exhaustive cross-product of every registered
 // policy per tier (3^4 = 81 points with the stock registry) — the
-// search space of the guided default sweep. Registration order per
-// tier makes the enumeration deterministic.
+// search space of the guided default sweep. Enum order per tier makes
+// the enumeration deterministic.
 func RegistryGrid() []policy.DesignPoint {
+	n := func(tier string) int { return len(policy.Names(tier)) }
 	var pts []policy.DesignPoint
-	for _, pc := range policy.Names(policy.TierPerCPU) {
-		for _, tc := range policy.Names(policy.TierTC) {
-			for _, cfl := range policy.Names(policy.TierCFL) {
-				for _, fl := range policy.Names(policy.TierFiller) {
+	for pc := range percpu.Policy(n(policy.TierPerCPU)) {
+		for tc := range transfercache.Policy(n(policy.TierTC)) {
+			for cfl := range centralfreelist.Policy(n(policy.TierCFL)) {
+				for fl := range pageheap.Policy(n(policy.TierFiller)) {
 					pts = append(pts, policy.DesignPoint{PerCPU: pc, TC: tc, CFL: cfl, Filler: fl})
 				}
 			}

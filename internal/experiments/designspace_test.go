@@ -20,12 +20,8 @@ func TestDefaultGridCoversRegistry(t *testing.T) {
 	}
 	covered := map[string]bool{}
 	for _, d := range grid {
-		tc := map[string]string{
-			policy.TierPerCPU: d.PerCPU, policy.TierTC: d.TC,
-			policy.TierCFL: d.CFL, policy.TierFiller: d.Filler,
-		}
-		for tier, name := range tc {
-			covered[tier+"="+name] = true
+		for _, term := range strings.Split(d.String(), ",") {
+			covered[term] = true
 		}
 	}
 	for _, tier := range policy.Tiers() {

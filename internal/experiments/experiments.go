@@ -16,6 +16,7 @@ import (
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/mem"
+	"wsmalloc/internal/policy"
 	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
 )
@@ -120,6 +121,17 @@ func ByName(name string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
+}
+
+// designConfig builds the allocator config of a design point named in
+// code (the paper's redesigns are each the baseline with one tier's
+// policy changed).
+func designConfig(d policy.DesignPoint) core.Config {
+	cfg, err := core.ConfigForDesign(d)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
 }
 
 // runProfile executes one profile on a fresh allocator/machine, applying

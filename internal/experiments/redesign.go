@@ -3,13 +3,18 @@ package experiments
 import (
 	"fmt"
 
+	"wsmalloc/internal/centralfreelist"
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/pageheap"
+	"wsmalloc/internal/percpu"
+	"wsmalloc/internal/policy"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/sizeclass"
 	"wsmalloc/internal/span"
 	"wsmalloc/internal/stats"
 	"wsmalloc/internal/topology"
+	"wsmalloc/internal/transfercache"
 	"wsmalloc/internal/workload"
 )
 
@@ -42,7 +47,7 @@ func Fig10(seed uint64, scale Scale) Report {
 	}
 	f := fleet.New(fleetSize, seed)
 	base := core.BaselineConfig()
-	res := f.ABTest(base, base.WithFeature(core.FeatureHeterogeneousPerCPU), abOptions(scale))
+	res := f.ABTest(base, designConfig(policy.DesignPoint{PerCPU: percpu.Hetero}), abOptions(scale))
 	r.addf("%-18s memory %+6.2f%%  throughput %+6.2f%%  (n=%d)",
 		"fleet", res.Fleet.MemoryPct, res.Fleet.ThroughputPct, res.Fleet.Machines)
 	sortRows(res.PerApp)
@@ -59,7 +64,7 @@ func Fig10(seed uint64, scale Scale) Report {
 			lines[i] = fmt.Sprintf("%-18s skipped: single-threaded, uses one per-CPU cache (§4.1)", p.Name)
 			return nil
 		}
-		d := benchMemoryDelta(p, base, base.WithFeature(core.FeatureHeterogeneousPerCPU), seed+7, dur)
+		d := benchMemoryDelta(p, base, designConfig(policy.DesignPoint{PerCPU: percpu.Hetero}), seed+7, dur)
 		lines[i] = fmt.Sprintf("%-18s memory %+6.2f%%", p.Name, d)
 		return nil
 	})
@@ -102,7 +107,7 @@ func Fig12(seed uint64, scale Scale) Report {
 		PaperClaim: "one transfer cache per LLC domain, backed by a centralized legacy transfer cache",
 	}
 	topo := topology.New(topology.Default())
-	cfg := core.BaselineConfig().WithFeature(core.FeatureNUCATransferCache)
+	cfg := designConfig(policy.DesignPoint{TC: transfercache.NUCA})
 	a := core.New(cfg, topo)
 	// Bulk-churn one CPU per domain so every domain cache serves traffic.
 	for d := 0; d < topo.NumDomains(); d++ {
@@ -136,7 +141,7 @@ func Table1(seed uint64, scale Scale) Report {
 	}
 	f := fleet.New(fleetSize, seed)
 	base := core.BaselineConfig()
-	nuca := base.WithFeature(core.FeatureNUCATransferCache)
+	nuca := designConfig(policy.DesignPoint{TC: transfercache.NUCA})
 	res := f.ABTest(base, nuca, abOptions(scale))
 	r.addf("%s", res.Fleet.String())
 	sortRows(res.PerApp)
@@ -265,7 +270,7 @@ func Fig14(seed uint64, scale Scale) Report {
 	}
 	f := fleet.New(fleetSize, seed)
 	base := core.BaselineConfig()
-	prio := base.WithFeature(core.FeatureSpanPrioritization)
+	prio := designConfig(policy.DesignPoint{CFL: centralfreelist.FullestFirst})
 	res := f.ABTest(base, prio, abOptions(scale))
 	r.addf("%-18s memory %+6.3f%%  (n=%d)", "fleet", res.Fleet.MemoryPct, res.Fleet.Machines)
 	sortRows(res.PerApp)
@@ -345,7 +350,7 @@ func Table2(seed uint64, scale Scale) Report {
 	}
 	f := fleet.New(fleetSize, seed)
 	base := core.BaselineConfig()
-	lt := base.WithFeature(core.FeatureLifetimeAwareFiller)
+	lt := designConfig(policy.DesignPoint{Filler: pageheap.FillerCapacity})
 	res := f.ABTest(base, lt, abOptions(scale))
 	r.addf("%s", res.Fleet.String())
 	sortRows(res.PerApp)
@@ -380,7 +385,7 @@ func Fig17(seed uint64, scale Scale) Report {
 	f := fleet.New(fleetSize, seed)
 	opts := abOptions(scale)
 	base := core.BaselineConfig()
-	lt := base.WithFeature(core.FeatureLifetimeAwareFiller)
+	lt := designConfig(policy.DesignPoint{Filler: pageheap.FillerCapacity})
 	// Reuse the AB machinery but report coverage directly.
 	n := opts.MinMachines
 	stride := maxInt(1, len(f.Machines)/n)

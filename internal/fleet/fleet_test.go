@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"wsmalloc/internal/core"
+	"wsmalloc/internal/policy"
+	"wsmalloc/internal/transfercache"
 	"wsmalloc/internal/workload"
 )
 
@@ -121,8 +123,11 @@ func TestABNUCAImprovesLocality(t *testing.T) {
 	opts := DefaultABOptions()
 	opts.MinMachines = 8
 	opts.DurationNs = 25 * workload.Millisecond
-	base := core.BaselineConfig()
-	res := f.ABTest(base, base.WithFeature(core.FeatureNUCATransferCache), opts)
+	nuca, err := core.ConfigForDesign(policy.DesignPoint{TC: transfercache.NUCA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := f.ABTest(core.BaselineConfig(), nuca, opts)
 	if res.Fleet.LLCAfter >= res.Fleet.LLCBefore {
 		t.Fatalf("NUCA should cut LLC misses: %.3f -> %.3f",
 			res.Fleet.LLCBefore, res.Fleet.LLCAfter)

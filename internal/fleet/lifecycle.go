@@ -197,20 +197,6 @@ func decodeMachineCheckpoint(blob []byte, fp string, ac *runAccum, pendingChurn 
 	return d.DecodeState(dec)
 }
 
-// writeFileAtomic writes via a temp file + rename so a crash mid-write
-// never leaves a truncated checkpoint where a valid one stood. The
-// parent directory is created on demand.
-func writeFileAtomic(path string, blob []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // churnSchedule decides, from seeds alone, whether and when this
 // machine is churn-killed: one uniformly-placed kill with probability
 // lc.Churn. Deterministic per (machine seed, churn seed).
@@ -270,7 +256,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 				return
 			}
 			blob := encodeMachineCheckpoint(fp, &ac, pendingChurn, ls, alloc, d)
-			if err := writeFileAtomic(ckptPath, blob); err != nil {
+			if err := snapshot.WriteFileAtomic(ckptPath, blob); err != nil {
 				ckptErr = err
 			}
 		}

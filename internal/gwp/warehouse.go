@@ -24,6 +24,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"wsmalloc/internal/snapshot"
 )
 
 const (
@@ -141,21 +143,11 @@ func (w *Warehouse) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("gwp: marshal manifest: %w", err)
 	}
-	return w.writeAtomic(manifestName, append(blob, '\n'))
+	return snapshot.WriteFileAtomic(filepath.Join(w.dir, manifestName), append(blob, '\n'))
 }
 
 func (w *Warehouse) path(tier int, index int64) string {
 	return filepath.Join(w.dir, WindowID(tier, index)+windowExt)
-}
-
-// writeAtomic writes name under the warehouse dir via temp + rename.
-func (w *Warehouse) writeAtomic(name string, blob []byte) error {
-	path := filepath.Join(w.dir, name)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func (w *Warehouse) writeWindow(win *Window) error {
@@ -163,7 +155,7 @@ func (w *Warehouse) writeWindow(win *Window) error {
 	if err != nil {
 		return err
 	}
-	return w.writeAtomic(win.Meta.ID+windowExt, blob)
+	return snapshot.WriteFileAtomic(filepath.Join(w.dir, win.Meta.ID+windowExt), blob)
 }
 
 // Append stores one raw window and runs the deterministic maintenance

@@ -150,7 +150,7 @@ type Profiler struct {
 
 	// classLife accumulates the lifetime decades of freed samples per
 	// size class — the feedback signal behind the pageheap's
-	// heapprof-driven lifetime classifier. Integer sums in free order,
+	// heapprof filler policy. Integer sums in free order,
 	// so the derived means are deterministic at any worker count.
 	classLife map[int]classLifeAcc
 
@@ -171,9 +171,9 @@ func New(cfg Config) *Profiler {
 		return nil
 	}
 	p := &Profiler{
-		cfg:      cfg,
-		r:        rng.New(cfg.Seed ^ 0x6865617070726f66), // "heapprof"
-		interval: float64(cfg.interval()),
+		cfg:       cfg,
+		r:         rng.New(cfg.Seed ^ 0x6865617070726f66), // "heapprof"
+		interval:  float64(cfg.interval()),
 		live:      make(map[uint64]liveSample),
 		cum:       make(map[siteKey]siteAcc),
 		classLife: make(map[int]classLifeAcc),
@@ -254,7 +254,7 @@ func (p *Profiler) NoteFree(addr uint64, now int64) {
 // ClassLifetime reports the mean observed lifetime decade of freed
 // sampled objects for a size class, plus the sample count behind it —
 // the pageheap.LifetimeFeedback signature, so a method value of this
-// profiler plugs straight into the feedback classifier.
+// profiler plugs straight into the heapprof filler policy.
 func (p *Profiler) ClassLifetime(class int) (meanDecade float64, samples int64) {
 	cl := p.classLife[class]
 	if cl.samples == 0 {

@@ -1,9 +1,39 @@
 package pageheap
 
+// Policy is the hugepage filler's lifetime policy (§4.4): whether spans
+// are split between short- and long-lived hugepage sets, and how a
+// span's lifetime class is predicted.
+type Policy uint8
+
+const (
+	// FillerNone is the lifetime-agnostic filler: every span fills the
+	// one (long-lived) hugepage set (legacy).
+	FillerNone Policy = iota
+	// FillerCapacity is the paper's static rule: spans whose capacity
+	// is below C objects (large-object classes) are short-lived.
+	FillerCapacity
+	// FillerHeapProf predicts lifetimes from the sampled heap
+	// profiler's observed per-class lifetime decades: once a class has
+	// feedbackMinSamples freed samples, its spans are short-lived when
+	// the mean decade is at most feedbackShortDecade. Classes without
+	// enough observations fall back to the capacity rule with the
+	// default C.
+	FillerHeapProf
+)
+
 // DefaultLifetimeThreshold is the paper's C = 16: spans holding fewer
 // than 16 objects are classified short-lived for the lifetime-aware
 // filler (§4.4).
 const DefaultLifetimeThreshold = 16
+
+const (
+	// feedbackShortDecade is the inclusive mean-decade cutoff for
+	// short-lived spans: 10^7 ns = 10 ms, comfortably inside a
+	// simulated span's residency.
+	feedbackShortDecade = 7
+	// feedbackMinSamples gates the feedback path.
+	feedbackMinSamples = 32
+)
 
 // LifetimeFeedback reports observed object lifetimes for a size class:
 // the mean lifetime decade (floor(log10 ns), the heap profiler's site
@@ -11,82 +41,29 @@ const DefaultLifetimeThreshold = 16
 // no observations yet.
 type LifetimeFeedback func(class int) (meanDecade float64, samples int64)
 
-// LifetimeClassifier predicts the lifetime class of the spans a central
-// free list will request, steering them to the short- or long-lived
-// hugepage filler when the lifetime-aware back-end is enabled.
-// Implementations must be stateless value types — core.Config is copied
-// freely across fleet arms and goroutines; observation state lives
-// behind the LifetimeFeedback closure.
-type LifetimeClassifier interface {
-	// Classify predicts the lifetime for spans of the given size class.
-	// classIndex is the sizeclass table index, objectsPerSpan the span
-	// capacity; feed may be nil when no profiler is attached.
-	Classify(classIndex, objectsPerSpan int, feed LifetimeFeedback) Lifetime
-}
-
-// CapacityClassifier is the paper's static rule: spans with capacity
-// below Threshold objects (large-object classes) are short-lived.
-type CapacityClassifier struct {
-	// Threshold is C; zero means DefaultLifetimeThreshold.
-	Threshold int
-}
-
-func (c CapacityClassifier) threshold() int {
-	if c.Threshold > 0 {
-		return c.Threshold
+// Classify predicts, under the heap's filler policy, the lifetime class
+// of the spans a central free list will request. classIndex is the
+// sizeclass table index, objectsPerSpan the span capacity, threshold the
+// list's C (zero means DefaultLifetimeThreshold); feed may be nil when
+// no profiler is attached. The lifetime-agnostic filler ignores the
+// answer, which it computes with the capacity rule.
+func (p *PageHeap) Classify(classIndex, objectsPerSpan, threshold int, feed LifetimeFeedback) Lifetime {
+	if p.cfg.Filler == FillerHeapProf {
+		if feed != nil {
+			if mean, n := feed(classIndex); n >= feedbackMinSamples {
+				if mean <= feedbackShortDecade {
+					return LifetimeShort
+				}
+				return LifetimeLong
+			}
+		}
+		threshold = DefaultLifetimeThreshold
 	}
-	return DefaultLifetimeThreshold
-}
-
-// Classify implements LifetimeClassifier.
-func (c CapacityClassifier) Classify(classIndex, objectsPerSpan int, feed LifetimeFeedback) Lifetime {
-	if objectsPerSpan < c.threshold() {
+	if threshold <= 0 {
+		threshold = DefaultLifetimeThreshold
+	}
+	if objectsPerSpan < threshold {
 		return LifetimeShort
 	}
 	return LifetimeLong
-}
-
-// FeedbackClassifier predicts lifetimes from the sampled heap profiler's
-// observed per-class lifetime decades: once a class has MinSamples freed
-// samples, spans are short-lived when the mean decade is at most
-// ShortDecade (10^7 ns = 10 ms by default — comfortably inside a
-// simulated span's residency). Classes without enough observations fall
-// back to the capacity rule, so cold classes behave exactly like
-// CapacityClassifier.
-type FeedbackClassifier struct {
-	// ShortDecade is the inclusive mean-decade cutoff for short-lived;
-	// zero means 7 (10 ms).
-	ShortDecade float64
-	// MinSamples gates the feedback path; zero means 32.
-	MinSamples int64
-	// FallbackThreshold is the capacity rule used below MinSamples; zero
-	// means DefaultLifetimeThreshold.
-	FallbackThreshold int
-}
-
-func (c FeedbackClassifier) shortDecade() float64 {
-	if c.ShortDecade > 0 {
-		return c.ShortDecade
-	}
-	return 7
-}
-
-func (c FeedbackClassifier) minSamples() int64 {
-	if c.MinSamples > 0 {
-		return c.MinSamples
-	}
-	return 32
-}
-
-// Classify implements LifetimeClassifier.
-func (c FeedbackClassifier) Classify(classIndex, objectsPerSpan int, feed LifetimeFeedback) Lifetime {
-	if feed != nil {
-		if mean, n := feed(classIndex); n >= c.minSamples() {
-			if mean <= c.shortDecade() {
-				return LifetimeShort
-			}
-			return LifetimeLong
-		}
-	}
-	return CapacityClassifier{Threshold: c.FallbackThreshold}.Classify(classIndex, objectsPerSpan, nil)
 }

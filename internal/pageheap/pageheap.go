@@ -12,9 +12,9 @@ import (
 
 // Config controls pageheap behaviour.
 type Config struct {
-	// LifetimeAware enables the paper's lifetime-aware hugepage filler:
-	// short-lived spans are packed on a dedicated hugepage set (§4.4).
-	LifetimeAware bool
+	// Filler is the lifetime policy: any policy but FillerNone packs
+	// short-lived spans on a dedicated hugepage set (§4.4).
+	Filler Policy
 	// MaxHugeCacheBytes bounds the HugeCache (0 = unbounded).
 	MaxHugeCacheBytes int64
 	// SubreleaseDensityLimit protects hugepages above this allocation
@@ -24,7 +24,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the baseline configuration (lifetime-aware filler
-// off, 256 MiB hugepage cache).
+// off, 1 GiB hugepage cache).
 func DefaultConfig() Config {
 	return Config{MaxHugeCacheBytes: 1 << 30, SubreleaseDensityLimit: 0.7}
 }
@@ -94,8 +94,8 @@ func (p *PageHeap) SetClock(fn func() int64) {
 // New creates a pageheap over the simulated OS.
 func New(o *mem.OS, cfg Config) *PageHeap {
 	p := &PageHeap{
-		os:   o,
-		cfg:  cfg,
+		os:  o,
+		cfg: cfg,
 		// Sized for the thousands of concurrently-live placements a
 		// steady-state machine holds, so the hot Alloc path is not
 		// repeatedly growing (and rehashing) the table from scratch.
@@ -111,7 +111,7 @@ func New(o *mem.OS, cfg Config) *PageHeap {
 
 // fillerFor selects the filler set for a lifetime class.
 func (p *PageHeap) fillerFor(lt Lifetime) *Filler {
-	if !p.cfg.LifetimeAware {
+	if p.cfg.Filler == FillerNone {
 		return p.fillers[LifetimeLong]
 	}
 	return p.fillers[lt]
@@ -164,7 +164,7 @@ func (p *PageHeap) Alloc(pages int, lt Lifetime) (mem.PageID, error) {
 func (p *PageHeap) place(pages int, lt Lifetime) (mem.PageID, placement, error) {
 	if pages < mem.PagesPerHugePage {
 		start, err := p.allocFiller(pages, lt)
-		if !p.cfg.LifetimeAware {
+		if p.cfg.Filler == FillerNone {
 			// Record the filler the span actually lives in, not the raw
 			// classification: Free must route back to the same filler even
 			// if a mid-run Swap toggles lifetime awareness later.
@@ -279,7 +279,7 @@ func (p *PageHeap) ReleaseAtLeast(want int64) int64 {
 	if limit == 0 {
 		limit = 0.7
 	}
-	if released < want && p.cfg.LifetimeAware {
+	if released < want && p.cfg.Filler != FillerNone {
 		// Break short-lifetime hugepages first: they drain and unmap
 		// whole soon, so the damage is transient, while a broken
 		// long-lifetime hugepage loses its TLB benefit indefinitely.

@@ -272,7 +272,7 @@ func TestPageHeapReleaseLowersCoverage(t *testing.T) {
 
 func TestPageHeapLifetimeSeparation(t *testing.T) {
 	o := mem.NewOS()
-	ph := New(o, Config{LifetimeAware: true, MaxHugeCacheBytes: 256 << 20})
+	ph := New(o, Config{Filler: FillerCapacity, MaxHugeCacheBytes: 256 << 20})
 	long := heapAlloc(ph, 10, LifetimeLong)
 	short := heapAlloc(ph, 10, LifetimeShort)
 	if long.HugePage() == short.HugePage() {
@@ -335,7 +335,7 @@ func TestPageHeapPropertyWithInterleavedRelease(t *testing.T) {
 	// configuration: mapped-byte conservation and exact drain must hold
 	// no matter when subrelease breaks hugepages.
 	o := mem.NewOS()
-	ph := New(o, Config{LifetimeAware: true, MaxHugeCacheBytes: 64 << 20, SubreleaseDensityLimit: 0.9})
+	ph := New(o, Config{Filler: FillerCapacity, MaxHugeCacheBytes: 64 << 20, SubreleaseDensityLimit: 0.9})
 	r := rng.New(777)
 	type alloc struct {
 		p  mem.PageID

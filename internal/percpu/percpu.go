@@ -26,14 +26,8 @@ type Backing interface {
 
 // Config controls the front-end.
 type Config struct {
-	// Heterogeneous enables usage-based dynamic cache sizing (§4.1).
-	// It is the legacy selector for Resizer: when Resizer is nil, true
-	// selects StealingResizer and false leaves the layout static.
-	Heterogeneous bool
-	// Resizer is the capacity policy run every ResizeIntervalNs. When
-	// nil, the Heterogeneous boolean picks the built-in policy (the
-	// policy registry sets both so the two stay in sync).
-	Resizer Resizer
+	// Policy is the capacity policy run every ResizeIntervalNs (§4.1).
+	Policy Policy
 	// CapacityBytes is the per-vCPU cache bound. The paper uses 3 MiB
 	// for the static design and halves it to 1.5 MiB with dynamic
 	// resizing enabled. Caches start at InitialCapacityBytes and grow
@@ -81,12 +75,15 @@ func StaticConfig() Config {
 	}
 }
 
-// HeterogeneousConfig is the paper's redesign: dynamic sizing with the
-// default halved to 1.5 MiB.
-func HeterogeneousConfig() Config {
+// ConfigFor returns the front-end configuration for a capacity policy:
+// the static layout keeps the legacy 3 MiB per vCPU, and the stealing
+// policies halve the budget to 1.5 MiB (§4.1).
+func ConfigFor(p Policy) Config {
 	c := StaticConfig()
-	c.Heterogeneous = true
-	c.CapacityBytes = 3 << 19 // 1.5 MiB
+	c.Policy = p
+	if p != Static {
+		c.CapacityBytes = 3 << 19 // 1.5 MiB
+	}
 	return c
 }
 
@@ -104,8 +101,8 @@ type cpuCache struct {
 	allocHits, allocMisses int64
 	freeHits, freeMisses   int64
 	missWindow             int64
-	// missEWMA is EWMAResizer's smoothed per-window miss rate; unused by
-	// the other policies.
+	// missEWMA is the EWMA policy's smoothed per-window miss rate;
+	// unused by the other policies.
 	missEWMA float64
 
 	// classOps and classOpsAtDecay drive idle-class reclaim.
@@ -136,7 +133,6 @@ type Caches struct {
 	numClasses int
 	domainOf   func(vcpu int) int
 	backing    Backing
-	resizer    Resizer
 
 	// sizes and batches are the per-class tables precomputed from the
 	// wiring functions at construction, so the per-operation paths cost
@@ -183,12 +179,11 @@ func New(cfg Config, numClasses int, objSize, batchSize func(int) int,
 		batches:    batches,
 		domainOf:   domainOf,
 		backing:    backing,
-		resizer:    resolveResizer(cfg),
 	}
 }
 
 // Swap retunes the front-end to a new configuration mid-run: every
-// populated cache is drained to the middle tier, the resizer policy and
+// populated cache is drained to the middle tier, the capacity policy and
 // the construction-time-derived capacity state (slow-start bound,
 // initial capacity, miss window) are re-derived from cfg, and the
 // cumulative hit/miss counters carry over. The per-class size and batch
@@ -201,7 +196,6 @@ func (c *Caches) Swap(cfg Config) {
 	}
 	c.DrainAll()
 	c.cfg = cfg
-	c.resizer = resolveResizer(cfg)
 	initial := cfg.InitialCapacityBytes
 	if initial <= 0 || initial > cfg.CapacityBytes {
 		initial = cfg.CapacityBytes
@@ -409,14 +403,13 @@ func (c *Caches) MaybeDecay(now int64) int {
 
 // MaybeResize runs the configured capacity policy if the interval
 // elapsed. now is simulation time in nanoseconds. Returns whether a
-// resize pass ran; statically-sized front-ends (no resizer) never run
-// one.
+// resize pass ran; statically-sized front-ends never run one.
 func (c *Caches) MaybeResize(now int64) bool {
-	if c.resizer == nil || now-c.lastResize < c.cfg.ResizeIntervalNs {
+	if c.cfg.Policy == Static || now-c.lastResize < c.cfg.ResizeIntervalNs {
 		return false
 	}
 	c.lastResize = now
-	c.resizer.Resize(c)
+	c.resize()
 	return true
 }
 

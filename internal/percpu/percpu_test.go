@@ -145,7 +145,7 @@ func TestStaticNeverResizes(t *testing.T) {
 }
 
 func TestHeterogeneousResizeMovesCapacity(t *testing.T) {
-	cfg := HeterogeneousConfig()
+	cfg := ConfigFor(Hetero)
 	cfg.ResizeIntervalNs = 1
 	c, _ := newCaches(cfg)
 	// vCPU 0 misses a lot; vCPUs 1-8 are idle but populated (more than
@@ -186,7 +186,7 @@ func TestHeterogeneousResizeMovesCapacity(t *testing.T) {
 }
 
 func TestResizeRespectsMinCapacity(t *testing.T) {
-	cfg := HeterogeneousConfig()
+	cfg := ConfigFor(Hetero)
 	cfg.ResizeIntervalNs = 1
 	cfg.StepBytes = 10 << 20 // try to steal far more than available
 	c, _ := newCaches(cfg)
@@ -205,7 +205,7 @@ func TestResizeRespectsMinCapacity(t *testing.T) {
 }
 
 func TestResizeEvictsOverflow(t *testing.T) {
-	cfg := HeterogeneousConfig()
+	cfg := ConfigFor(Hetero)
 	cfg.ResizeIntervalNs = 1
 	cfg.CapacityBytes = 64 * 64 // 4 KiB
 	cfg.MinCapacityBytes = 64 * 4
@@ -264,7 +264,7 @@ func TestHeterogeneousReducesFootprintUnderSkew(t *testing.T) {
 	}
 	scfg := StaticConfig()
 	scfg.PerClassBytesCap = 0 // exercise the whole-cache bound
-	hcfg := HeterogeneousConfig()
+	hcfg := ConfigFor(Hetero)
 	hcfg.PerClassBytesCap = 0
 	stat, _ := newCaches(scfg)
 	workload(stat)

@@ -6,152 +6,92 @@ import (
 	"wsmalloc/internal/telemetry"
 )
 
-// Resizer is the front-end capacity policy: a periodic pass that may move
-// cache capacity between vCPUs. Implementations must be stateless value
-// types — core.Config is copied freely across fleet arms and goroutines,
-// so any per-cache state belongs on cpuCache, not on the policy.
-type Resizer interface {
-	// Resize runs one policy pass over the populated caches. The pass
-	// must conserve the summed slow-start bound (capacity may move,
-	// never be created); CheckInvariants enforces this.
-	Resize(c *Caches)
-}
+// Policy is the front-end capacity policy: whether, and by which
+// ranking, a periodic pass moves cache capacity between vCPUs.
+type Policy uint8
 
-// resolveResizer maps a config to its effective policy: an explicit
-// Resizer wins, otherwise the legacy Heterogeneous boolean selects the
-// stealing policy, otherwise the front-end is statically sized and no
-// pass ever runs (nil).
-func resolveResizer(cfg Config) Resizer {
-	if cfg.Resizer != nil {
-		return cfg.Resizer
-	}
-	if cfg.Heterogeneous {
-		return StealingResizer{}
-	}
-	return nil
-}
+const (
+	// Static never resizes: every vCPU grows toward the same fixed
+	// budget (legacy).
+	Static Policy = iota
+	// Hetero is the paper's heterogeneous policy (§4.1): the TopK
+	// caches with the most misses in the last window grow with capacity
+	// stolen round-robin from the rest.
+	Hetero
+	// EWMA ranks caches by an exponentially-weighted moving average of
+	// their per-window misses instead of the instantaneous window, so a
+	// single bursty interval cannot flip the grow set and capacity
+	// follows sustained demand.
+	EWMA
+)
 
-// StealingResizer is the paper's heterogeneous policy (§4.1): the TopK
-// caches with the most misses in the last window grow with capacity
-// stolen round-robin from the rest.
-type StealingResizer struct{}
+// ewmaAlpha is the EWMA policy's smoothing factor.
+const ewmaAlpha = 0.3
 
-// Resize implements Resizer.
-func (StealingResizer) Resize(c *Caches) {
+// resize runs one capacity-stealing pass over the populated caches: the
+// TopK caches with the highest positive ranking key grow with capacity
+// stolen round-robin from the rest, and every miss window restarts. The
+// pass conserves the summed slow-start bound (capacity moves, it is
+// never created); CheckInvariants enforces this.
+func (c *Caches) resize() {
 	type cand struct {
-		idx    int
-		misses int64
+		idx int
+		key float64
 	}
-	var pop []cand
-	for i, cc := range c.caches {
-		if cc != nil {
-			pop = append(pop, cand{i, cc.missWindow})
-		}
-	}
-	if len(pop) < 2 {
-		for _, p := range pop {
-			c.caches[p.idx].missWindow = 0
-		}
-		return
-	}
-	// Top K by window misses; caches with no misses never grow.
-	ranked := append([]cand(nil), pop...)
-	sort.Slice(ranked, func(i, j int) bool { return ranked[i].misses > ranked[j].misses })
-	k := c.cfg.TopK
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	grow := map[int]bool{}
-	var growList []int
-	for _, p := range ranked[:k] {
-		if p.misses > 0 {
-			grow[p.idx] = true
-			growList = append(growList, p.idx)
-		}
-	}
-	victims := make([]int, len(pop))
-	for i, p := range pop {
-		victims[i] = p.idx
-	}
-	c.stealRoundRobin(victims, grow, growList)
-	for _, p := range pop {
-		c.caches[p.idx].missWindow = 0
-	}
-}
-
-// EWMAResizer ranks caches by an exponentially-weighted moving average of
-// their per-window misses instead of the instantaneous window, so a
-// single bursty interval cannot flip the grow set and capacity follows
-// sustained demand. Steal mechanics are shared with StealingResizer.
-type EWMAResizer struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]; zero means 0.3.
-	Alpha float64
-}
-
-func (r EWMAResizer) alpha() float64 {
-	if r.Alpha > 0 {
-		return r.Alpha
-	}
-	return 0.3
-}
-
-// Resize implements Resizer.
-func (r EWMAResizer) Resize(c *Caches) {
-	alpha := r.alpha()
-	type cand struct {
-		idx  int
-		ewma float64
-	}
+	ewma := c.cfg.Policy == EWMA
 	var pop []cand
 	for i, cc := range c.caches {
 		if cc == nil {
 			continue
 		}
-		cc.missEWMA = alpha*float64(cc.missWindow) + (1-alpha)*cc.missEWMA
-		pop = append(pop, cand{i, cc.missEWMA})
-	}
-	if len(pop) < 2 {
-		for _, p := range pop {
-			c.caches[p.idx].missWindow = 0
+		key := float64(cc.missWindow)
+		if ewma {
+			cc.missEWMA = ewmaAlpha*float64(cc.missWindow) + (1-ewmaAlpha)*cc.missEWMA
+			key = cc.missEWMA
 		}
-		return
+		pop = append(pop, cand{i, key})
 	}
-	// Rank by smoothed misses, breaking ties by vCPU index so the grow
-	// set is deterministic.
-	ranked := append([]cand(nil), pop...)
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].ewma != ranked[j].ewma {
-			return ranked[i].ewma > ranked[j].ewma
+	if len(pop) >= 2 {
+		ranked := append([]cand(nil), pop...)
+		if ewma {
+			// Ties break by vCPU index so the grow set is deterministic.
+			sort.Slice(ranked, func(i, j int) bool {
+				if ranked[i].key != ranked[j].key {
+					return ranked[i].key > ranked[j].key
+				}
+				return ranked[i].idx < ranked[j].idx
+			})
+		} else {
+			sort.Slice(ranked, func(i, j int) bool { return ranked[i].key > ranked[j].key })
 		}
-		return ranked[i].idx < ranked[j].idx
-	})
-	k := c.cfg.TopK
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	grow := map[int]bool{}
-	var growList []int
-	for _, p := range ranked[:k] {
-		if p.ewma > 0 {
-			grow[p.idx] = true
-			growList = append(growList, p.idx)
+		k := c.cfg.TopK
+		if k > len(ranked) {
+			k = len(ranked)
 		}
+		// Caches with no misses never grow.
+		grow := map[int]bool{}
+		var growList []int
+		for _, p := range ranked[:k] {
+			if p.key > 0 {
+				grow[p.idx] = true
+				growList = append(growList, p.idx)
+			}
+		}
+		victims := make([]int, len(pop))
+		for i, p := range pop {
+			victims[i] = p.idx
+		}
+		c.stealRoundRobin(victims, grow, growList)
 	}
-	victims := make([]int, len(pop))
-	for i, p := range pop {
-		victims[i] = p.idx
-	}
-	c.stealRoundRobin(victims, grow, growList)
 	for _, p := range pop {
 		c.caches[p.idx].missWindow = 0
 	}
 }
 
 // stealRoundRobin moves up to StepBytes of capacity to each grow target,
-// taken round-robin from the remaining populated caches (the shared
-// mechanics of every stealing policy): the slow-start bound relocates
-// with the capacity so the summed bound is conserved, and victims evict
-// down to their shrunken capacity immediately.
+// taken round-robin from the remaining populated caches: the slow-start
+// bound relocates with the capacity so the summed bound is conserved,
+// and victims evict down to their shrunken capacity immediately.
 func (c *Caches) stealRoundRobin(victims []int, grow map[int]bool, growList []int) {
 	for _, target := range growList {
 		moved := int64(0)

@@ -4,114 +4,126 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+
+	"wsmalloc/internal/centralfreelist"
+	"wsmalloc/internal/pageheap"
+	"wsmalloc/internal/percpu"
+	"wsmalloc/internal/transfercache"
 )
 
 // DesignPoint names one policy per tier — a single point in the
-// allocator design space. Its canonical serialization is
-// "percpu=NAME,tc=NAME,cfl=NAME,filler=NAME"; Parse accepts any subset
-// of keys (missing tiers default to the baseline policy) plus the
-// shorthands "baseline" and "optimized".
+// allocator design space. The zero value is the baseline. Its canonical
+// serialization is "percpu=NAME,tc=NAME,cfl=NAME,filler=NAME"; Parse
+// accepts any subset of keys (missing tiers default to the baseline
+// policy) plus the named shorthands.
 type DesignPoint struct {
-	PerCPU string
-	TC     string
-	CFL    string
-	Filler string
+	PerCPU percpu.Policy
+	TC     transfercache.Policy
+	CFL    centralfreelist.Policy
+	Filler pageheap.Policy
 }
 
 // Baseline is the legacy allocator: every tier on its pre-redesign
 // policy.
-func Baseline() DesignPoint {
-	return DesignPoint{PerCPU: "static", TC: "central", CFL: "legacy", Filler: "none"}
-}
+func Baseline() DesignPoint { return DesignPoint{} }
 
 // Optimized is the paper's full redesign: all four §4 features on.
 func Optimized() DesignPoint {
-	return DesignPoint{PerCPU: "hetero", TC: "nuca", CFL: "prio8", Filler: "capacity"}
+	return DesignPoint{
+		PerCPU: percpu.Hetero,
+		TC:     transfercache.NUCA,
+		CFL:    centralfreelist.FullestFirst,
+		Filler: pageheap.FillerCapacity,
+	}
 }
 
-// get returns the policy name of a tier key.
-func (d DesignPoint) get(tier string) string {
-	switch tier {
-	case TierPerCPU:
-		return d.PerCPU
-	case TierTC:
-		return d.TC
-	case TierCFL:
-		return d.CFL
-	case TierFiller:
-		return d.Filler
+// shorthands are the names Parse accepts in place of tier=policy pairs:
+// the two endpoints, and the paper's four §4 redesigns, each the
+// baseline with one tier on its paper policy.
+var shorthands = map[string]DesignPoint{
+	"baseline":                   Baseline(),
+	"optimized":                  Optimized(),
+	"heterogeneous-percpu-cache": {PerCPU: percpu.Hetero},
+	"nuca-transfer-cache":        {TC: transfercache.NUCA},
+	"span-prioritization":        {CFL: centralfreelist.FullestFirst},
+	"lifetime-aware-filler":      {Filler: pageheap.FillerCapacity},
+}
+
+// IsShorthand reports whether name is one of Parse's named design
+// points.
+func IsShorthand(name string) bool {
+	_, ok := shorthands[name]
+	return ok
+}
+
+// get returns the enum value of the tier at canonical position i.
+func (d DesignPoint) get(i int) uint8 {
+	switch i {
+	case 0:
+		return uint8(d.PerCPU)
+	case 1:
+		return uint8(d.TC)
+	case 2:
+		return uint8(d.CFL)
+	default:
+		return uint8(d.Filler)
 	}
-	return ""
 }
 
 // WithPolicy returns a copy with one tier's policy replaced. The name
 // is validated against the registry.
 func (d DesignPoint) WithPolicy(tier, name string) (DesignPoint, error) {
-	if _, ok := Lookup(tier, name); !ok {
-		// Reuse Apply's error wording by applying to a throwaway bundle.
-		t := baseTiers()
-		return d, Apply(tier, name, &t)
+	i, v, err := resolve(tier, name)
+	if err != nil {
+		return d, err
 	}
-	switch tier {
-	case TierPerCPU:
-		d.PerCPU = name
-	case TierTC:
-		d.TC = name
-	case TierCFL:
-		d.CFL = name
-	case TierFiller:
-		d.Filler = name
+	switch i {
+	case 0:
+		d.PerCPU = percpu.Policy(v)
+	case 1:
+		d.TC = transfercache.Policy(v)
+	case 2:
+		d.CFL = centralfreelist.Policy(v)
+	default:
+		d.Filler = pageheap.Policy(v)
 	}
 	return d, nil
 }
 
-// String renders the canonical full form, all four tiers in apply
-// order: "percpu=static,tc=central,cfl=legacy,filler=none".
+// String renders the canonical full form, all four tiers in canonical
+// order: "percpu=static,tc=central,cfl=legacy,filler=none". The point
+// must be valid.
 func (d DesignPoint) String() string {
-	parts := make([]string, 0, len(tierOrder))
-	for _, tier := range tierOrder {
-		parts = append(parts, tier+"="+d.get(tier))
+	parts := make([]string, len(tiers))
+	for i, t := range tiers {
+		parts[i] = t.key + "=" + t.policies[d.get(i)].name
 	}
 	return strings.Join(parts, ",")
 }
 
-// Validate checks every tier names a registered policy.
+// Validate checks every tier holds one of its enum's values.
 func (d DesignPoint) Validate() error {
-	t := baseTiers()
-	for _, tier := range tierOrder {
-		if err := Apply(tier, d.get(tier), &t); err != nil {
-			return err
+	for i, t := range tiers {
+		if v := int(d.get(i)); v >= len(t.policies) {
+			return fmt.Errorf("policy: invalid %s policy %d (registered: %d policies)",
+				t.key, v, len(t.policies))
 		}
 	}
 	return nil
 }
 
-// Tiers builds the per-tier configurations for this design point by
-// applying each tier's policy to the baseline bundle, in tier order
-// (filler last, so a filler-installed lifetime classifier survives the
-// CFL policy's whole-struct assignment).
-func (d DesignPoint) Tiers() (TierConfigs, error) {
-	t := baseTiers()
-	for _, tier := range tierOrder {
-		if err := Apply(tier, d.get(tier), &t); err != nil {
-			return TierConfigs{}, err
-		}
-	}
-	return t, nil
-}
-
-// Parse reads a design-point string: "baseline", "optimized", or a
-// comma-separated list of tier=policy pairs where omitted tiers keep
-// their baseline policy. Every name is validated against the registry;
-// errors list what is registered.
+// Parse reads a design-point string: a named shorthand ("baseline",
+// "optimized", or one of the paper's four redesigns such as
+// "nuca-transfer-cache"), or a comma-separated list of tier=policy pairs
+// where omitted tiers keep their baseline policy. Every name is
+// validated against the registry; errors list what is registered.
 func Parse(s string) (DesignPoint, error) {
-	switch strings.TrimSpace(s) {
-	case "":
+	trimmed := strings.TrimSpace(s)
+	if trimmed == "" {
 		return DesignPoint{}, fmt.Errorf("policy: empty design point (want e.g. %q)", Optimized().String())
-	case "baseline":
-		return Baseline(), nil
-	case "optimized":
-		return Optimized(), nil
+	}
+	if d, ok := shorthands[trimmed]; ok {
+		return d, nil
 	}
 	d := Baseline()
 	seen := map[string]bool{}

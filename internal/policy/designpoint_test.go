@@ -5,7 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"wsmalloc/internal/centralfreelist"
+	"wsmalloc/internal/core"
+	"wsmalloc/internal/pageheap"
+	"wsmalloc/internal/percpu"
 	"wsmalloc/internal/policy"
+	"wsmalloc/internal/transfercache"
 )
 
 func TestDesignPointRoundTrip(t *testing.T) {
@@ -44,9 +49,35 @@ func TestParseShorthandsAndDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := policy.Baseline()
-	want.TC = "nuca"
+	want.TC = transfercache.NUCA
 	if d != want {
 		t.Fatalf("Parse(tc=nuca) = %+v, want %+v", d, want)
+	}
+}
+
+// TestParseFeatureShorthands pins each of the paper's four redesign
+// names to the design point it has always denoted: the baseline with
+// that one tier on its paper policy.
+func TestParseFeatureShorthands(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"heterogeneous-percpu-cache", "percpu=hetero,tc=central,cfl=legacy,filler=none"},
+		{"nuca-transfer-cache", "percpu=static,tc=nuca,cfl=legacy,filler=none"},
+		{"span-prioritization", "percpu=static,tc=central,cfl=prio8,filler=none"},
+		{"lifetime-aware-filler", "percpu=static,tc=central,cfl=legacy,filler=capacity"},
+	} {
+		d, err := policy.Parse(c.name)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", c.name, err)
+		}
+		if got := d.String(); got != c.want {
+			t.Fatalf("Parse(%q) = %s, want %s", c.name, got, c.want)
+		}
+		if !policy.IsShorthand(c.name) {
+			t.Fatalf("IsShorthand(%q) = false", c.name)
+		}
+	}
+	if policy.IsShorthand("tc=nuca") {
+		t.Fatal("a tier=policy list is not a shorthand")
 	}
 }
 
@@ -94,29 +125,29 @@ func TestDesignPointJSON(t *testing.T) {
 		t.Fatalf("JSON round trip: %+v != %+v", got, d)
 	}
 	// Invalid points refuse to marshal rather than emitting garbage.
-	if _, err := json.Marshal(policy.DesignPoint{PerCPU: "nope"}); err == nil {
+	if _, err := json.Marshal(policy.DesignPoint{PerCPU: percpu.Policy(99)}); err == nil {
 		t.Fatal("MarshalJSON of invalid point: want error")
 	}
 }
 
 func TestTiersApplyOrderFillerLast(t *testing.T) {
-	// The heapprof filler installs a classifier on the CFL config; it
-	// must survive the CFL tier's whole-struct assignment regardless of
-	// the design string's key order.
+	// The filler decision lives in one field, so a heapprof filler next
+	// to a prioritized CFL survives regardless of the design string's key
+	// order, all the way into the built config.
 	for _, in := range []string{"cfl=prio8,filler=heapprof", "filler=heapprof,cfl=prio8"} {
 		d, err := policy.Parse(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc, err := d.Tiers()
+		cfg, err := core.ConfigForDesign(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tc.CFL.Classifier == nil {
-			t.Fatalf("%q: heapprof classifier lost during tier apply", in)
+		if cfg.PageHeap.Filler != pageheap.FillerHeapProf {
+			t.Fatalf("%q: heapprof filler lost (got %d)", in, cfg.PageHeap.Filler)
 		}
-		if !tc.PageHeap.LifetimeAware {
-			t.Fatalf("%q: filler not lifetime-aware", in)
+		if cfg.CFL.Policy != centralfreelist.FullestFirst {
+			t.Fatalf("%q: cfl policy %d, want prio8", in, cfg.CFL.Policy)
 		}
 	}
 }
@@ -133,7 +164,7 @@ func TestRegistryShape(t *testing.T) {
 		}
 		for _, name := range names {
 			p, ok := policy.Lookup(tier, name)
-			if !ok || p.Apply == nil || p.Desc == "" {
+			if !ok || p.Tier != tier || p.Name != name || p.Desc == "" {
 				t.Fatalf("tier %s policy %s: incomplete registration", tier, name)
 			}
 		}

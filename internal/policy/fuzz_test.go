@@ -18,6 +18,7 @@ func FuzzDesignPointParse(f *testing.F) {
 	f.Add("percpu=hetero,percpu=static")
 	f.Add(" tc = nuca ,")
 	f.Add("====,,=")
+	f.Add("nuca-transfer-cache")
 	f.Fuzz(func(t *testing.T, s string) {
 		d, err := policy.Parse(s)
 		if err != nil {

@@ -1,14 +1,13 @@
-// Package policy is the design-point registry behind the simulator's
-// pluggable allocator architecture: every per-tier decision policy —
-// front-end capacity resizing (percpu.Resizer), middle-tier routing
-// (transfercache.Placement), span selection (centralfreelist.
-// SpanSelector), and span lifetime classification (pageheap.
-// LifetimeClassifier) — is registered here by name, and a serializable
-// DesignPoint ("percpu=hetero,tc=nuca,cfl=prio8,filler=capacity")
-// selects one policy per tier and builds the tier configurations for a
+// Package policy names the simulator's allocator design space. Every
+// per-tier decision policy is a value of one closed enum in its tier —
+// front-end capacity resizing (percpu.Policy), middle-tier routing
+// (transfercache.Policy), span selection (centralfreelist.Policy), and
+// the hugepage filler's lifetime policy (pageheap.Policy) — and this
+// package gives each value its registry name and description. A
+// serializable DesignPoint ("percpu=hetero,tc=nuca,cfl=prio8,filler=capacity")
+// selects one policy per tier; core.ConfigForDesign builds the matching
 // core.Config. The paper's 2^4 feature grid is the cross-product of the
-// first two policies of each tier; additional registered policies extend
-// the design space without touching any tier package's callers.
+// first two policies of each tier.
 package policy
 
 import (
@@ -22,8 +21,7 @@ import (
 	"wsmalloc/internal/transfercache"
 )
 
-// Tier keys, in apply order. The filler tier applies last because its
-// policies may install a lifetime classifier on the CFL configuration.
+// Tier keys, in canonical order.
 const (
 	TierPerCPU = "percpu"
 	TierTC     = "tc"
@@ -31,18 +29,7 @@ const (
 	TierFiller = "filler"
 )
 
-// TierConfigs is the per-tier configuration bundle a design point
-// builds; core.ConfigForDesign wraps it with the tier-independent
-// constants (latency model, release cadence, sampling interval).
-type TierConfigs struct {
-	PerCPU   percpu.Config
-	Transfer transfercache.Config
-	CFL      centralfreelist.Config
-	PageHeap pageheap.Config
-}
-
-// Policy is one registered per-tier policy: a named mutation of the
-// baseline tier configurations.
+// Policy describes one registered per-tier policy for listings.
 type Policy struct {
 	// Tier is one of the Tier* keys.
 	Tier string
@@ -50,148 +37,98 @@ type Policy struct {
 	Name string
 	// Desc is a one-line description for listings.
 	Desc string
-	// Apply mutates the tier configurations to select this policy.
-	Apply func(*TierConfigs)
 }
 
-var (
-	tierOrder = []string{TierPerCPU, TierTC, TierCFL, TierFiller}
-	registry  = map[string][]Policy{}
-	lookup    = map[string]map[string]Policy{}
-)
+// entry is one row of a tier's policy table.
+type entry struct{ name, desc string }
 
-// Register adds a policy to the registry; duplicate (tier, name) pairs
-// and unknown tiers panic at init time.
-func Register(p Policy) {
-	if lookup[p.Tier] == nil {
-		valid := false
-		for _, t := range tierOrder {
-			if t == p.Tier {
-				valid = true
-			}
-		}
-		if !valid {
-			panic(fmt.Sprintf("policy: unknown tier %q", p.Tier))
-		}
-		lookup[p.Tier] = map[string]Policy{}
-	}
-	if _, dup := lookup[p.Tier][p.Name]; dup {
-		panic(fmt.Sprintf("policy: duplicate registration %s=%s", p.Tier, p.Name))
-	}
-	if p.Apply == nil {
-		panic(fmt.Sprintf("policy: %s=%s has no Apply", p.Tier, p.Name))
-	}
-	lookup[p.Tier][p.Name] = p
-	registry[p.Tier] = append(registry[p.Tier], p)
+// tiers holds, in canonical order, each tier's policy table indexed by
+// that tier's enum value (baseline first).
+var tiers = [...]struct {
+	key      string
+	policies []entry
+}{
+	{TierPerCPU, []entry{
+		percpu.Static: {"static", "fixed 3 MiB per-vCPU caches, no resizing (legacy)"},
+		percpu.Hetero: {"hetero", "top-K miss-window capacity stealing at half the budget (paper §4.1)"},
+		percpu.EWMA:   {"ewma", "capacity stealing ranked by EWMA-smoothed misses (new)"},
+	}},
+	{TierTC, []entry{
+		transfercache.Central:  {"central", "one shared transfer cache (legacy)"},
+		transfercache.NUCA:     {"nuca", "per-LLC-domain caches over the shared fallback (paper §4.2)"},
+		transfercache.Pressure: {"pressure", "NUCA with overflow frees biased to the least-full sibling domain (new)"},
+	}},
+	{TierCFL, []entry{
+		centralfreelist.Legacy:       {"legacy", "singleton span list, front-of-list allocation (legacy)"},
+		centralfreelist.FullestFirst: {"prio8", "L=8 occupancy lists, fullest-first allocation (paper §4.3)"},
+		centralfreelist.BestFit:      {"bestfit", "occupancy lists with lowest-address span within the fullest bucket (new)"},
+	}},
+	{TierFiller, []entry{
+		pageheap.FillerNone:     {"none", "lifetime-agnostic filler (legacy)"},
+		pageheap.FillerCapacity: {"capacity", "lifetime-aware filler, capacity-threshold C=16 classifier (paper §4.4)"},
+		pageheap.FillerHeapProf: {"heapprof", "lifetime-aware filler steered by sampled heap-profile lifetime decades (new)"},
+	}},
 }
 
-// Tiers returns the tier keys in apply order.
-func Tiers() []string { return append([]string(nil), tierOrder...) }
+// tierIndex returns the position of a tier key in canonical order, or
+// -1.
+func tierIndex(tier string) int {
+	for i, t := range tiers {
+		if t.key == tier {
+			return i
+		}
+	}
+	return -1
+}
 
-// Names returns the registered policy names of a tier in registration
-// order (baseline first).
+// Tiers returns the tier keys in canonical order.
+func Tiers() []string {
+	out := make([]string, len(tiers))
+	for i, t := range tiers {
+		out[i] = t.key
+	}
+	return out
+}
+
+// Names returns the policy names of a tier in enum order (baseline
+// first).
 func Names(tier string) []string {
-	ps := registry[tier]
-	out := make([]string, len(ps))
-	for i, p := range ps {
-		out[i] = p.Name
+	i := tierIndex(tier)
+	if i < 0 {
+		return nil
+	}
+	out := make([]string, len(tiers[i].policies))
+	for v, e := range tiers[i].policies {
+		out[v] = e.name
 	}
 	return out
 }
 
 // Lookup finds a registered policy.
 func Lookup(tier, name string) (Policy, bool) {
-	p, ok := lookup[tier][name]
-	return p, ok
+	i, v, err := resolve(tier, name)
+	if err != nil {
+		return Policy{}, false
+	}
+	return Policy{Tier: tier, Name: name, Desc: tiers[i].policies[v].desc}, true
 }
 
-// Apply applies the named policy of a tier to the configurations. An
-// unknown tier or name returns an error listing what is registered.
-func Apply(tier, name string, tc *TierConfigs) error {
-	ps, ok := lookup[tier]
-	if !ok {
-		return fmt.Errorf("policy: unknown tier %q (tiers: %s)",
-			tier, strings.Join(tierOrder, ", "))
+// resolve maps a tier key and policy name to the tier's position and the
+// policy's enum value. An unknown tier or name returns an error listing
+// what is registered.
+func resolve(tier, name string) (int, uint8, error) {
+	i := tierIndex(tier)
+	if i < 0 {
+		return 0, 0, fmt.Errorf("policy: unknown tier %q (tiers: %s)",
+			tier, strings.Join(Tiers(), ", "))
 	}
-	p, ok := ps[name]
-	if !ok {
-		names := Names(tier)
-		sort.Strings(names)
-		return fmt.Errorf("policy: unknown %s policy %q (registered: %s)",
-			tier, name, strings.Join(names, ", "))
+	for v, e := range tiers[i].policies {
+		if e.name == name {
+			return i, uint8(v), nil
+		}
 	}
-	p.Apply(tc)
-	return nil
-}
-
-// baseTiers is the substrate every design point mutates: the baseline
-// configuration of each tier (mirroring the legacy core.BaselineConfig).
-func baseTiers() TierConfigs {
-	return TierConfigs{
-		PerCPU:   percpu.StaticConfig(),
-		Transfer: transfercache.DefaultConfig(),
-		CFL:      centralfreelist.LegacyConfig(),
-		PageHeap: pageheap.DefaultConfig(),
-	}
-}
-
-func init() {
-	// percpu: front-end capacity policies (§4.1).
-	Register(Policy{Tier: TierPerCPU, Name: "static",
-		Desc: "fixed 3 MiB per-vCPU caches, no resizing (legacy)",
-		Apply: func(t *TierConfigs) { t.PerCPU = percpu.StaticConfig() }})
-	Register(Policy{Tier: TierPerCPU, Name: "hetero",
-		Desc: "top-K miss-window capacity stealing at half the budget (paper §4.1)",
-		Apply: func(t *TierConfigs) { t.PerCPU = percpu.HeterogeneousConfig() }})
-	Register(Policy{Tier: TierPerCPU, Name: "ewma",
-		Desc: "capacity stealing ranked by EWMA-smoothed misses (new)",
-		Apply: func(t *TierConfigs) {
-			t.PerCPU = percpu.StaticConfig()
-			t.PerCPU.CapacityBytes = 3 << 19 // same halved budget as hetero
-			t.PerCPU.Resizer = percpu.EWMAResizer{}
-		}})
-
-	// tc: middle-tier routing policies (§4.2).
-	Register(Policy{Tier: TierTC, Name: "central",
-		Desc: "one shared transfer cache (legacy)",
-		Apply: func(t *TierConfigs) { t.Transfer = transfercache.DefaultConfig() }})
-	Register(Policy{Tier: TierTC, Name: "nuca",
-		Desc: "per-LLC-domain caches over the shared fallback (paper §4.2)",
-		Apply: func(t *TierConfigs) { t.Transfer.NUCAAware = true }})
-	Register(Policy{Tier: TierTC, Name: "pressure",
-		Desc: "NUCA with overflow frees biased to the least-full sibling domain (new)",
-		Apply: func(t *TierConfigs) {
-			t.Transfer.NUCAAware = false
-			t.Transfer.Placement = transfercache.PressurePlacement{}
-		}})
-
-	// cfl: span-selection policies (§4.3).
-	Register(Policy{Tier: TierCFL, Name: "legacy",
-		Desc: "singleton span list, front-of-list allocation (legacy)",
-		Apply: func(t *TierConfigs) { t.CFL = centralfreelist.LegacyConfig() }})
-	Register(Policy{Tier: TierCFL, Name: "prio8",
-		Desc: "L=8 occupancy lists, fullest-first allocation (paper §4.3)",
-		Apply: func(t *TierConfigs) { t.CFL = centralfreelist.DefaultConfig() }})
-	Register(Policy{Tier: TierCFL, Name: "bestfit",
-		Desc: "occupancy lists with lowest-address span within the fullest bucket (new)",
-		Apply: func(t *TierConfigs) {
-			t.CFL = centralfreelist.DefaultConfig()
-			t.CFL.Selector = centralfreelist.BestFitSelector{NumLists: t.CFL.NumLists}
-		}})
-
-	// filler: span lifetime classification for the hugepage filler
-	// (§4.4). Applied last: its policies may install a classifier on the
-	// CFL configuration.
-	Register(Policy{Tier: TierFiller, Name: "none",
-		Desc: "lifetime-agnostic filler (legacy)",
-		Apply: func(t *TierConfigs) {}})
-	Register(Policy{Tier: TierFiller, Name: "capacity",
-		Desc: "lifetime-aware filler, capacity-threshold C=16 classifier (paper §4.4)",
-		Apply: func(t *TierConfigs) { t.PageHeap.LifetimeAware = true }})
-	Register(Policy{Tier: TierFiller, Name: "heapprof",
-		Desc: "lifetime-aware filler steered by sampled heap-profile lifetime decades (new)",
-		Apply: func(t *TierConfigs) {
-			t.PageHeap.LifetimeAware = true
-			t.CFL.Classifier = pageheap.FeedbackClassifier{}
-		}})
+	names := Names(tier)
+	sort.Strings(names)
+	return 0, 0, fmt.Errorf("policy: unknown %s policy %q (registered: %s)",
+		tier, name, strings.Join(names, ", "))
 }

@@ -31,16 +31,10 @@ type Backing interface {
 
 // Config controls the transfer cache layer.
 type Config struct {
-	// NUCAAware enables per-LLC-domain transfer caches (§4.2). It is the
-	// legacy selector for Placement: when Placement is nil, true selects
-	// NUCAPlacement and false the centralized layout.
-	NUCAAware bool
-	// Placement is the routing policy. When nil, the NUCAAware boolean
-	// picks the built-in policy (the policy registry sets both so the
-	// two stay in sync).
-	Placement Placement
+	// Policy is the routing policy (§4.2).
+	Policy Policy
 	// NumDomains is the number of LLC domains with active caches; only
-	// meaningful when NUCAAware is set.
+	// meaningful when the policy uses domains.
 	NumDomains int
 	// LegacyObjectsPerClass caps the centralized cache per size class.
 	LegacyObjectsPerClass int
@@ -64,15 +58,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// ResolvedPlacement returns the config's effective routing policy
-// (core.New asks it whether NumDomains must be filled from the machine
-// topology before construction).
-func (c Config) ResolvedPlacement() Placement { return resolvePlacement(c) }
-
 // NUCAConfig returns a NUCA-aware configuration for n domains.
 func NUCAConfig(n int) Config {
 	c := DefaultConfig()
-	c.NUCAAware = true
+	c.Policy = NUCA
 	c.NumDomains = n
 	return c
 }
@@ -123,39 +112,37 @@ type Stats struct {
 	Plundered int64
 }
 
-// placeKind discriminates the built-in placement policies so the hot
-// paths can inline their (trivial) routing decisions instead of paying
-// interface dispatch per operation. Custom policies fall back to the
-// interface.
-type placeKind uint8
+// Policy is the middle-tier routing policy: which domain cache (if any)
+// an allocation consults before the legacy cache, and where a free lands
+// before spilling to the legacy cache and the backing tier.
+type Policy uint8
 
 const (
-	placeCustom placeKind = iota
-	placeCentralized
-	placeNUCA
-	placePressure
+	// Central is the legacy layout: one shared transfer cache, no
+	// per-domain caches.
+	Central Policy = iota
+	// NUCA is the paper's §4.2 policy: each LLC domain gets its own
+	// cache, consulted first on both allocation and free, with the
+	// legacy cache as the shared fallback.
+	NUCA
+	// Pressure routes like NUCA, but frees that overflow their home
+	// domain spill into the least-full sibling domain cache (for that
+	// size class) before falling back to the shared legacy cache. Under
+	// an imbalanced producer/consumer split this keeps objects in *some*
+	// domain cache — one cross-domain transfer still beats a cold DRAM
+	// fetch — at the cost of more inter-domain reuse.
+	Pressure
 )
 
-func placementKindOf(p Placement) placeKind {
-	switch p.(type) {
-	case CentralizedPlacement:
-		return placeCentralized
-	case NUCAPlacement:
-		return placeNUCA
-	case PressurePlacement:
-		return placePressure
-	default:
-		return placeCustom
-	}
-}
+// UsesDomains reports whether per-domain caches exist at all; when
+// false the layer builds only the centralized legacy cache.
+func (p Policy) UsesDomains() bool { return p != Central }
 
 // TransferCaches is the full middle-tier cache layer for all size classes.
 type TransferCaches struct {
 	cfg        Config
 	numClasses int
 	backing    Backing
-	placement  Placement
-	kind       placeKind
 
 	// sizes is the per-class object size table precomputed from the
 	// wiring function at construction (byte accounting without closure
@@ -177,8 +164,7 @@ func (t *TransferCaches) SetTelemetry(s *telemetry.Sink) { t.tel = s }
 // New creates the layer. objSize maps a class index to its object size
 // (for byte accounting).
 func New(cfg Config, numClasses int, objSize func(int) int, backing Backing) *TransferCaches {
-	placement := resolvePlacement(cfg)
-	if placement.UsesDomains() && cfg.NumDomains <= 0 {
+	if cfg.Policy.UsesDomains() && cfg.NumDomains <= 0 {
 		panic(fmt.Sprintf("transfercache: domain-aware placement with %d domains", cfg.NumDomains))
 	}
 	sizes := make([]int, numClasses)
@@ -190,14 +176,12 @@ func New(cfg Config, numClasses int, objSize func(int) int, backing Backing) *Tr
 		numClasses: numClasses,
 		sizes:      sizes,
 		backing:    backing,
-		placement:  placement,
-		kind:       placementKindOf(placement),
 		legacy:     make([]cache, numClasses),
 	}
 	for i := range t.legacy {
 		t.legacy[i].max = t.capFor(cfg.LegacyObjectsPerClass, cfg.LegacyBytesPerClass, i)
 	}
-	if placement.UsesDomains() {
+	if cfg.Policy.UsesDomains() {
 		t.domains = buildDomains(t, cfg)
 	}
 	return t
@@ -230,30 +214,57 @@ func buildDomains(t *TransferCaches, cfg Config) [][]cache {
 }
 
 // Swap retunes the middle tier to a new configuration mid-run: every
-// cached object is drained to the backing tier, the placement policy
-// and its monomorphized dispatch kind are re-resolved, the per-class
-// entry bounds are recomputed, and the domain cache matrix is rebuilt
-// for the new policy's geometry (or torn down when the new placement is
-// centralized). The aggregate stats and the legacy caches' per-class
+// cached object is drained to the backing tier, the routing policy is
+// replaced, the per-class entry bounds are recomputed, and the domain
+// cache matrix is rebuilt for the new policy's geometry (or torn down
+// when the new policy is centralized). The aggregate stats and the legacy caches' per-class
 // counters carry over. A Swap on a freshly constructed layer is
 // indistinguishable from construction with cfg.
 func (t *TransferCaches) Swap(cfg Config) {
-	placement := resolvePlacement(cfg)
-	if placement.UsesDomains() && cfg.NumDomains <= 0 {
+	if cfg.Policy.UsesDomains() && cfg.NumDomains <= 0 {
 		panic(fmt.Sprintf("transfercache: domain-aware placement with %d domains", cfg.NumDomains))
 	}
 	t.Drain()
 	t.cfg = cfg
-	t.placement = placement
-	t.kind = placementKindOf(placement)
 	for i := range t.legacy {
 		t.legacy[i].max = t.capFor(cfg.LegacyObjectsPerClass, cfg.LegacyBytesPerClass, i)
 	}
-	if placement.UsesDomains() {
+	if cfg.Policy.UsesDomains() {
 		t.domains = buildDomains(t, cfg)
 	} else {
 		t.domains = nil
 	}
+}
+
+// homeDomain returns the domain cache an allocation or free from the
+// given LLC domain tries first, or -1 for none.
+func (t *TransferCaches) homeDomain(domain int) int {
+	if t.cfg.Policy == Central {
+		return -1
+	}
+	return domain
+}
+
+// freeOverflow returns a second domain cache to absorb objects that did
+// not fit in the home domain cache, or -1 to spill straight to the legacy
+// cache. Only the Pressure policy has one: the sibling domain whose
+// cache for this class has the most free room (ties to the lowest
+// domain index, deterministically), or -1 when every sibling is full.
+func (t *TransferCaches) freeOverflow(class, domain int) int {
+	if t.cfg.Policy != Pressure {
+		return -1
+	}
+	best, bestRoom := -1, 0
+	for d := range t.domains {
+		if d == domain {
+			continue
+		}
+		c := &t.domains[d][class]
+		if room := c.max - len(c.entries); room > bestRoom {
+			best, bestRoom = d, room
+		}
+	}
+	return best
 }
 
 // Alloc fills out with objects of the given class for a request issued
@@ -262,45 +273,9 @@ func (t *TransferCaches) Swap(cfg Config) {
 // of every object handed out. It returns the count filled; a short fill
 // is always accompanied by the backing tier's allocation error, and the
 // objects already in out remain valid.
-// allocFrom, freeTo and freeOverflow inline the built-in placement
-// policies (their routing decisions are trivial) and fall back to
-// interface dispatch for custom ones.
-func (t *TransferCaches) allocFrom(class, domain int) int {
-	switch t.kind {
-	case placeCentralized:
-		return -1
-	case placeNUCA, placePressure:
-		return domain
-	default:
-		return t.placement.AllocFrom(t, class, domain)
-	}
-}
-
-func (t *TransferCaches) freeTo(class, domain int) int {
-	switch t.kind {
-	case placeCentralized:
-		return -1
-	case placeNUCA, placePressure:
-		return domain
-	default:
-		return t.placement.FreeTo(t, class, domain)
-	}
-}
-
-func (t *TransferCaches) freeOverflow(class, domain int) int {
-	switch t.kind {
-	case placeCentralized, placeNUCA:
-		return -1
-	case placePressure:
-		return PressurePlacement{}.FreeOverflow(t, class, domain)
-	default:
-		return t.placement.FreeOverflow(t, class, domain)
-	}
-}
-
 func (t *TransferCaches) Alloc(class, domain int, out []uint64) (int, error) {
 	filled := 0
-	if d := t.allocFrom(class, domain); d >= 0 {
+	if d := t.homeDomain(domain); d >= 0 {
 		dc := &t.domains[t.domainIndex(d)][class]
 		filled += t.take(dc, domain, out[filled:])
 		if filled > 0 {
@@ -372,7 +347,7 @@ func (t *TransferCaches) take(c *cache, domain int, out []uint64) int {
 // spill to the backing tier when both are full.
 func (t *TransferCaches) Free(class, domain int, objs []uint64) {
 	rest := objs
-	if d := t.freeTo(class, domain); d >= 0 {
+	if d := t.homeDomain(domain); d >= 0 {
 		dc := &t.domains[t.domainIndex(d)][class]
 		rest = t.put(dc, domain, rest)
 		if len(rest) > 0 {

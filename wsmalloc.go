@@ -49,8 +49,6 @@ type (
 	Config = core.Config
 	// Stats is a full allocator telemetry snapshot.
 	Stats = core.Stats
-	// Feature identifies one of the paper's four redesigns.
-	Feature = core.Feature
 	// TimeBreakdown is the per-component cycle accounting (Fig. 6a).
 	TimeBreakdown = core.TimeBreakdown
 )
@@ -270,14 +268,6 @@ func SetHardening(h Hardening) { experiments.SetHardening(h) }
 // since SetHardening.
 func AuditTrips() int64 { return experiments.AuditTrips() }
 
-// The paper's four redesigns (§4.1-§4.4).
-const (
-	FeatureHeterogeneousPerCPU = core.FeatureHeterogeneousPerCPU
-	FeatureNUCATransferCache   = core.FeatureNUCATransferCache
-	FeatureSpanPrioritization  = core.FeatureSpanPrioritization
-	FeatureLifetimeAwareFiller = core.FeatureLifetimeAwareFiller
-)
-
 // Experiment scales.
 const (
 	ScaleFull  = experiments.ScaleFull
@@ -309,18 +299,21 @@ func BaselineDesign() DesignPoint { return policy.Baseline() }
 // OptimizedDesign is the paper's full-redesign design point.
 func OptimizedDesign() DesignPoint { return policy.Optimized() }
 
-// ParseDesignPoint reads a design-point string: "baseline", "optimized",
-// or comma-separated tier=policy pairs (omitted tiers stay baseline).
+// ParseDesignPoint reads a design-point string: a named shorthand
+// ("baseline", "optimized", or one of the paper's four redesigns:
+// "heterogeneous-percpu-cache", "nuca-transfer-cache",
+// "span-prioritization", "lifetime-aware-filler"), or comma-separated
+// tier=policy pairs (omitted tiers stay baseline).
 func ParseDesignPoint(s string) (DesignPoint, error) { return policy.Parse(s) }
+
+// IsDesignShorthand reports whether name is one of ParseDesignPoint's
+// named shorthands.
+func IsDesignShorthand(name string) bool { return policy.IsShorthand(name) }
 
 // ConfigForDesign builds the allocator configuration for a design point.
 func ConfigForDesign(d DesignPoint) (Config, error) { return core.ConfigForDesign(d) }
 
-// DesignForFeature spells a legacy feature toggle as a design point:
-// the baseline with that feature's registered policy enabled.
-func DesignForFeature(f Feature) (DesignPoint, error) { return core.DesignForFeature(f) }
-
-// PolicyTiers lists the tier keys in apply order
+// PolicyTiers lists the tier keys in canonical order
 // ("percpu", "tc", "cfl", "filler").
 func PolicyTiers() []string { return policy.Tiers() }
 

@@ -1,6 +1,7 @@
 package wsmalloc_test
 
 import (
+	"reflect"
 	"testing"
 
 	"wsmalloc"
@@ -58,17 +59,27 @@ func TestFacadeExperimentsRegistry(t *testing.T) {
 }
 
 func TestFacadeFeatureToggles(t *testing.T) {
-	cfg := wsmalloc.Baseline()
-	for _, f := range []wsmalloc.Feature{
-		wsmalloc.FeatureHeterogeneousPerCPU,
-		wsmalloc.FeatureNUCATransferCache,
-		wsmalloc.FeatureSpanPrioritization,
-		wsmalloc.FeatureLifetimeAwareFiller,
+	base := wsmalloc.Baseline()
+	for _, name := range []string{
+		"heterogeneous-percpu-cache",
+		"nuca-transfer-cache",
+		"span-prioritization",
+		"lifetime-aware-filler",
 	} {
-		if f.String() == "unknown-feature" {
-			t.Errorf("feature %d unnamed", f)
+		if !wsmalloc.IsDesignShorthand(name) {
+			t.Errorf("feature %s is not a design shorthand", name)
 		}
-		_ = cfg.WithFeature(f)
+		d, err := wsmalloc.ParseDesignPoint(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg, err := wsmalloc.ConfigForDesign(d)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if reflect.DeepEqual(cfg, base) {
+			t.Errorf("feature %s leaves the baseline unchanged", name)
+		}
 	}
 	if len(wsmalloc.Platforms()) != 5 {
 		t.Fatal("platform catalog")

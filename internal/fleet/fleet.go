@@ -394,6 +394,38 @@ var (
 	runMachineLifecycle = RunMachineLifecycle
 )
 
+// replayPairs lets the experiment arm of a legacy-path pair replay the
+// control arm's recorded stream instead of generating it again (see
+// runArms). Tests clear it to force both arms live — the reference the
+// tape path must reproduce exactly.
+var replayPairs = true
+
+// runArms runs a pair's two arms on the legacy path. The stream a run
+// draws depends only on the machine and the workload options as long as
+// no malloc is refused, so the control arm records it and the
+// experiment arm replays it, skipping generation. When the control arm
+// saw refused mallocs the tape is not replayable and the experiment arm
+// generates live; when a refusal stops the replay, the experiment arm
+// reruns live from scratch. Chaos runs (faults on both arms) always
+// generate live. The tape is borrowed from tapes for the pair.
+func runArms(m Machine, cfgC, cfgE core.Config, woptsC, woptsE workload.Options, opts ABOptions, tapes chan *workload.Tape) (c, e RunMetrics) {
+	if !replayPairs || opts.Chaos.Enabled() {
+		return runMachineOpts(m, cfgC, woptsC), runMachineOpts(m, cfgE, woptsE)
+	}
+	tape := <-tapes
+	defer func() { tapes <- tape }()
+	woptsC.Record = tape
+	c = runMachineOpts(m, cfgC, woptsC)
+	if tape.Replayable() {
+		replay := woptsE
+		replay.Replay = tape
+		if e = runMachineOpts(m, cfgE, replay); !tape.Stopped() {
+			return c, e
+		}
+	}
+	return c, runMachineOpts(m, cfgE, woptsE)
+}
+
 // lifecycleEnabled reports whether the experiment needs the
 // checkpoint/lifecycle machine-run path. When false, runs go through
 // the legacy path — which the lifecycle path reproduces bit-identically
@@ -477,7 +509,7 @@ func lifecycleFor(opts ABOptions, arm, design string, attempt int) LifecycleOpti
 // parallel. With lifecycle options enabled it checkpoints, restarts and
 // resumes each arm; a KillAtFrac halt returns halted=true with both
 // arms checkpointed.
-func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt int) (machineOutcome, error) {
+func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt int, tapes chan *workload.Tape) (machineOutcome, error) {
 	wopts := workload.DefaultOptions(m.Seed)
 	wopts.Duration = opts.DurationNs
 	if opts.TimeWarpGamma > 0 {
@@ -530,8 +562,7 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 			return out, nil
 		}
 	} else {
-		c = runMachineOpts(m, cfgC, wopts)
-		e = runMachineOpts(m, cfgE, woptsE)
+		c, e = runArms(m, cfgC, cfgE, wopts, woptsE, opts, tapes)
 	}
 	out.telC, out.telE = c.Telemetry, e.Telemetry
 	out.hpC, out.hpE = c.HeapProfiles, e.HeapProfiles
@@ -725,6 +756,13 @@ func mergeOutcomes(outcomes []machineOutcome, opts ABOptions) ABResult {
 func (f *Fleet) ABTestErr(control, experiment core.Config, opts ABOptions) (ABResult, error) {
 	idx := sampleIndices(len(f.Machines), opts)
 	outcomes := make([]machineOutcome, len(idx))
+	// One tape per worker, lent to each pair in turn, so workers reuse
+	// tape storage (about 32 bytes per malloc of a run) across pairs.
+	workers := sched.DefaultWorkers(opts.Workers)
+	tapes := make(chan *workload.Tape, workers)
+	for range workers {
+		tapes <- new(workload.Tape)
+	}
 	sup := &sched.Supervisor{
 		Policy: opts.Retry,
 		Sleep:  opts.RetrySleep,
@@ -733,7 +771,7 @@ func (f *Fleet) ABTestErr(control, experiment core.Config, opts ABOptions) (ABRe
 		Retryable: func(err error) bool { return !errors.Is(err, ErrHalted) },
 	}
 	err := sup.Map(context.Background(), len(idx), opts.Workers, func(i, attempt int) error {
-		o, err := runPair(f.Machines[idx[i]], control, experiment, opts, attempt)
+		o, err := runPair(f.Machines[idx[i]], control, experiment, opts, attempt, tapes)
 		if err != nil {
 			return err
 		}

@@ -66,6 +66,17 @@ type Options struct {
 	// RetuneAtNs or empty RetuneDesign disables.
 	RetuneAtNs   int64
 	RetuneDesign string
+	// Record, when non-nil, captures every value the run draws from its
+	// RNG into the tape (replacing its contents). Replay, when non-nil,
+	// takes those values from a tape recorded for the same stream
+	// (profile, seed, duration, time warp, thread cadences) instead of
+	// drawing them: the allocator still serves every malloc and free,
+	// only generation is skipped. A replay stops early at the first
+	// malloc its allocator refuses (Tape.Stopped). At most one of the
+	// two may be set, and neither combines with Checkpoint, HaltAtNs,
+	// HaltOnAllocFailure or Restart: the tape cursor is not serialized.
+	Record *Tape
+	Replay *Tape
 }
 
 // DefaultOptions returns options suitable for experiment runs.
@@ -156,6 +167,9 @@ type Driver struct {
 	opts    Options
 	r       *rng.RNG
 	dyn     ThreadDynamics
+	// rec and play are Options.Record and Options.Replay: each draw site
+	// samples (appending to rec) unless play supplies the value.
+	rec, play *Tape
 
 	now     int64
 	threads int
@@ -232,11 +246,144 @@ func NewDriver(p Profile, a *core.Allocator, opts Options) *Driver {
 		opts:      opts,
 		r:         rng.New(opts.Seed),
 		dyn:       dyn,
+		rec:       opts.Record,
+		play:      opts.Replay,
 		wheelRing: make([][]object, wheelRingSize),
 		wheelFar:  make(map[int64][]object),
 	}
+	if d.rec != nil && d.play != nil {
+		panic("workload: Options.Record and Options.Replay are exclusive")
+	}
+	if opts.Checkpoint != nil || opts.HaltAtNs > 0 || opts.HaltOnAllocFailure {
+		d.rejectTape("checkpoint or halt")
+	}
+	if d.rec != nil {
+		d.rec.startRecording(keyOf(p, opts), expectedArrivals(p, opts))
+	} else if d.play != nil {
+		d.play.startReplay(keyOf(p, opts))
+	}
 	d.refreshCPUSet()
 	return d
+}
+
+// The draw sites: each returns the next value of one tape column,
+// sampling it from the RNG (and recording it) unless a replay tape
+// supplies it. A live run pays two predictable branches per site.
+
+// drawThreads evaluates the thread count at virtual time now.
+func (d *Driver) drawThreads(now int64) int {
+	if d.play != nil {
+		return int(d.play.threads.next())
+	}
+	n := d.dyn.Count(d.r, now)
+	if d.rec != nil {
+		d.rec.threads.put(int32(n))
+	}
+	return n
+}
+
+// drawPreloadSize samples a preload block size.
+func (d *Driver) drawPreloadSize(dist rng.Dist) int {
+	if d.play != nil {
+		return int(d.play.preSize.next())
+	}
+	size := int(dist.Sample(d.r))
+	if size < 1 {
+		size = 1
+	}
+	if d.rec != nil {
+		d.rec.preSize.put(int64(size))
+	}
+	return size
+}
+
+// drawPreloadThread picks a preload block's thread uniformly.
+func (d *Driver) drawPreloadThread() int {
+	if d.play != nil {
+		return int(d.play.preThread.next())
+	}
+	th := d.r.Intn(d.threads)
+	if d.rec != nil {
+		d.rec.preThread.put(int32(th))
+	}
+	return th
+}
+
+// drawGap samples the next arrival gap: exponential with rate
+// threads/MeanAllocGapNs, at least 1 ns.
+func (d *Driver) drawGap() int64 {
+	if d.play != nil {
+		return d.play.gap.next()
+	}
+	dt := int64(d.gapNs * d.r.ExpFloat64())
+	if dt < 1 {
+		dt = 1
+	}
+	if d.rec != nil {
+		d.rec.gap.put(dt)
+	}
+	return dt
+}
+
+// drawSize samples an arrival's requested size.
+func (d *Driver) drawSize() int {
+	if d.play != nil {
+		return int(d.play.size.next())
+	}
+	size := int(d.profile.SizeDist.Sample(d.r))
+	if size < 1 {
+		size = 1
+	}
+	if d.rec != nil {
+		d.rec.size.put(int64(size))
+	}
+	return size
+}
+
+// drawMallocThread picks the thread issuing an arrival.
+func (d *Driver) drawMallocThread() int {
+	if d.play != nil {
+		return int(d.play.thread.next())
+	}
+	th := d.pickThread()
+	if d.rec != nil {
+		d.rec.thread.put(int32(th))
+	}
+	return th
+}
+
+// drawLifetime samples an allocated object's warped lifetime.
+func (d *Driver) drawLifetime(size int) int64 {
+	if d.play != nil {
+		return d.play.life.next()
+	}
+	life := d.warp(d.profile.Lifetime.Sample(d.r, size))
+	if d.rec != nil {
+		d.rec.life.put(life)
+	}
+	return life
+}
+
+// drawFreeThread picks the thread freeing a dying object.
+func (d *Driver) drawFreeThread() int {
+	if d.play != nil {
+		return int(d.play.free.next())
+	}
+	th := d.pickThread()
+	if d.rec != nil {
+		d.rec.free.put(int32(th))
+	}
+	return th
+}
+
+// stopReplay ends a replayed run at a refused malloc: the recording
+// drew on past this point as if the malloc had succeeded, so the rest of
+// the tape no longer describes this run. The Result so far is partial.
+func (d *Driver) stopReplay() Result {
+	d.play.stopped = true
+	d.halted = true
+	d.haltReason = HaltReplayRefused
+	return d.res
 }
 
 // setThreads updates the active thread count and the derived per-thread
@@ -298,11 +445,8 @@ func (d *Driver) preload() {
 	var total int64
 	consecutiveFailures := 0
 	for total < d.profile.PreloadBytes {
-		size := int(dist.Sample(d.r))
-		if size < 1 {
-			size = 1
-		}
-		cpu := d.cpuForThread(d.r.Intn(d.threads))
+		size := d.drawPreloadSize(dist)
+		cpu := d.cpuForThread(d.drawPreloadThread())
 		addr, _, err := d.alloc.TryMalloc(size, cpu)
 		if err != nil {
 			// Under an injected mapped-byte budget the resident heap may
@@ -310,6 +454,10 @@ func (d *Driver) preload() {
 			// failures but gives up once the allocator is firmly out of
 			// memory (nothing is freed during preload).
 			d.res.AllocFailures++
+			if d.play != nil {
+				d.stopReplay()
+				return
+			}
 			if consecutiveFailures++; consecutiveFailures >= 8 {
 				return
 			}
@@ -327,9 +475,12 @@ func (d *Driver) preload() {
 func (d *Driver) Run() Result {
 	p := d.profile
 	if !d.started {
-		d.setThreads(d.dyn.Count(d.r, 0))
+		d.setThreads(d.drawThreads(0))
 		d.res.ThreadSeries = append(d.res.ThreadSeries, d.threads)
 		d.preload()
+		if d.halted {
+			return d.res
+		}
 
 		d.nextThreadUpdate = d.opts.ThreadUpdateEveryNs
 		d.nextTick = d.opts.TickEveryNs
@@ -385,12 +536,7 @@ func (d *Driver) Run() Result {
 			return d.res
 		}
 
-		// Next allocation arrival: exponential with rate threads/gap.
-		dt := int64(d.gapNs * d.r.ExpFloat64())
-		if dt < 1 {
-			dt = 1
-		}
-		d.now += dt
+		d.now += d.drawGap()
 
 		d.processDeaths(d.now)
 
@@ -399,7 +545,7 @@ func (d *Driver) Run() Result {
 			d.nextTick += d.opts.TickEveryNs
 		}
 		if d.now >= d.nextThreadUpdate {
-			d.setThreads(d.dyn.Count(d.r, d.now))
+			d.setThreads(d.drawThreads(d.now))
 			d.res.ThreadSeries = append(d.res.ThreadSeries, d.threads)
 			d.nextThreadUpdate += d.opts.ThreadUpdateEveryNs
 		}
@@ -415,15 +561,15 @@ func (d *Driver) Run() Result {
 			break
 		}
 
-		size := int(p.SizeDist.Sample(d.r))
-		if size < 1 {
-			size = 1
-		}
-		cpu := d.cpuForThread(d.pickThread())
+		size := d.drawSize()
+		cpu := d.cpuForThread(d.drawMallocThread())
 		addr, cost, err := d.alloc.TryMalloc(size, cpu)
 		d.res.MallocNs += cost
 		if err != nil {
 			d.res.AllocFailures++
+			if d.play != nil {
+				return d.stopReplay()
+			}
 			if d.opts.HaltOnAllocFailure {
 				// The process is OOM-killed mid-allocation; the caller
 				// restarts it against a fresh allocator (Restart).
@@ -439,8 +585,7 @@ func (d *Driver) Run() Result {
 		d.res.AllocatedBytes += int64(size)
 		d.liveCount++
 
-		life := d.warp(p.Lifetime.Sample(d.r, size))
-		die := d.now + life
+		die := d.now + d.drawLifetime(size)
 		bucket := die / deathBucketNs
 		if bucket-d.curBucket < wheelRingSize {
 			slot := bucket & wheelMask
@@ -452,6 +597,12 @@ func (d *Driver) Run() Result {
 
 	if d.opts.AuditEveryNs > 0 {
 		d.audit()
+	}
+	if d.rec != nil {
+		d.rec.replayable = d.res.AllocFailures == 0
+	}
+	if d.play != nil {
+		d.play.checkConsumed()
 	}
 	d.res.Duration = d.opts.Duration
 	d.res.Stats = d.alloc.Stats()
@@ -472,6 +623,9 @@ const (
 	// HaltAllocFailure: the allocator refused an allocation with
 	// Options.HaltOnAllocFailure set (a simulated OOM kill).
 	HaltAllocFailure
+	// HaltReplayRefused: the allocator refused a malloc during a replay
+	// (see Options.Replay); the run cannot continue from the tape.
+	HaltReplayRefused
 )
 
 // Halted reports whether the last Run call stopped early — at HaltAtNs
@@ -484,7 +638,20 @@ func (d *Driver) HaltReason() HaltReason { return d.haltReason }
 // SetHaltAt reschedules (or, with 0, cancels) the run's halt time —
 // how a lifecycle caller clears a churn kill after restarting the
 // machine, so the resumed Run doesn't halt again immediately.
-func (d *Driver) SetHaltAt(ns int64) { d.opts.HaltAtNs = ns }
+func (d *Driver) SetHaltAt(ns int64) {
+	if ns > 0 {
+		d.rejectTape("halt")
+	}
+	d.opts.HaltAtNs = ns
+}
+
+// rejectTape panics when a taped driver is asked to leave its single
+// uninterrupted run.
+func (d *Driver) rejectTape(op string) {
+	if d.rec != nil || d.play != nil {
+		panic("workload: a taped run cannot " + op + " (the tape cursor is not serialized)")
+	}
+}
 
 // Now returns the driver's virtual-time position.
 func (d *Driver) Now() int64 { return d.now }
@@ -497,6 +664,7 @@ func (d *Driver) Now() int64 { return d.now }
 // rebuilds its resident heap before serving traffic again; the death
 // wheel is cleared because the objects it tracked no longer exist.
 func (d *Driver) Restart(a *core.Allocator) {
+	d.rejectTape("restart")
 	d.alloc = a
 	d.refreshCPUSet()
 	if hp := a.HeapProfiler(); hp != nil {
@@ -569,7 +737,7 @@ func (d *Driver) processDeaths(now int64) {
 // part of the determinism contract).
 func (d *Driver) freeBucket(objs []object) {
 	for _, o := range objs {
-		cpu := d.cpuForThread(d.pickThread())
+		cpu := d.cpuForThread(d.drawFreeThread())
 		cost := d.alloc.Free(o.addr, o.size, cpu)
 		d.res.Frees++
 		d.res.MallocNs += cost

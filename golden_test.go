@@ -1,27 +1,25 @@
 package wsmalloc_test
 
-// Golden bit-identity regression suite for the hot-path overhaul: the
-// canonical exports (Prometheus metricsz, heapz, pageheapz, designspace
-// CSV) for 3 seeds x 2 design points are captured into testdata/golden/
-// BEFORE any hot-path optimization, and TestHotPathGoldenEquivalence
-// fails if a single byte of any export changes afterwards.
+// Golden bit-identity regression suite: the canonical exports
+// (Prometheus metricsz, heapz, pageheapz, designspace CSV) for 3 seeds x
+// 2 design points, pinned in testdata/golden/ for the current sampling
+// epoch. TestHotPathGoldenEquivalence fails if a single byte of any
+// export changes, so a hot-path change must keep every byte; a new
+// sampling epoch re-cuts all goldens at once through the golden
+// package's -update switch:
 //
-// Regenerate goldens (only when an intentional behaviour change lands):
-//
-//	go test -run TestHotPathGoldenEquivalence -update ./...
+//	go test . ./internal/fleet -run Golden -update
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"wsmalloc"
+	"wsmalloc/internal/golden"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden files")
 
 var goldenSeeds = []uint64{1, 2, 3}
 
@@ -129,47 +127,14 @@ func designspaceExport(t testing.TB, seed uint64) []byte {
 	return csv
 }
 
-func goldenPath(name string) string { return filepath.Join("testdata", "golden", name) }
-
-// checkGolden compares got against the committed golden (or rewrites it
-// under -update).
+// checkGolden compares got against the committed golden of that name.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
-	path := goldenPath(name)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with -update to capture): %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: export differs from golden (%d bytes got, %d want); first divergence at byte %d",
-			path, len(got), len(want), firstDiff(got, want))
-	}
-}
-
-func firstDiff(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
+	golden.Check(t, filepath.Join("testdata", "golden", name), got)
 }
 
 // TestHotPathGoldenEquivalence is the bit-identity gate: every canonical
-// export must match the pre-optimization goldens byte for byte.
+// export must match the current epoch's goldens byte for byte.
 func TestHotPathGoldenEquivalence(t *testing.T) {
 	designs := goldenDesigns(t)
 	baseline := designs[0]

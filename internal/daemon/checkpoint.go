@@ -176,7 +176,7 @@ func (d *Daemon) restore() error {
 	}
 	dec, err := snapshot.NewDecoder(blob)
 	if err != nil {
-		return err
+		return fmt.Errorf("daemon: resume: %w", err)
 	}
 	dec.Section("daemon.manifest")
 	if got := dec.String(); dec.Err() == nil && got != d.fingerprint() {

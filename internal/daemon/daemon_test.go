@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -203,6 +205,49 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	bad.Resume = true
 	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "different run") {
 		t.Fatalf("mismatched resume error = %v, want fingerprint rejection", err)
+	}
+}
+
+// TestResumeRejectsOldEpochCheckpoint: a checkpoint directory written at
+// snapshot version 1 — the sampling epoch before the ziggurat samplers —
+// must fail to resume with an error naming the version, never continue
+// silently onto this epoch's streams.
+func TestResumeRejectsOldEpochCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t, 3)
+	cfg.CheckpointDir = dir
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runTicks(t, d, 2)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+
+	// Stamp every blob as version 1. The header's version field sits
+	// outside the payload checksum, so only the version check can object.
+	blobs, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(blobs) < 2 {
+		t.Fatalf("checkpoint blobs: %v, %v", blobs, err)
+	}
+	for _, path := range blobs {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(blob[4:8], 1)
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cfg.Resume = true
+	_, err = New(cfg)
+	if err == nil || !strings.Contains(err.Error(), "resume") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("version 1, want %d", snapshot.Version)) {
+		t.Fatalf("resuming a version-1 checkpoint: err = %v, want a version rejection", err)
 	}
 }
 

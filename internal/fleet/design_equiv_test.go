@@ -3,12 +3,12 @@ package fleet_test
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/golden"
 	"wsmalloc/internal/heapprof"
 	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/telemetry"
@@ -72,12 +72,12 @@ func equivExports(t *testing.T, cfg core.Config) []byte {
 }
 
 // TestDesignEquivalenceGolden pins the full export surface of the
-// baseline and optimized configurations to golden files generated with
-// the pre-refactor (hard-wired boolean) constructors. The policy-registry
-// rebase of BaselineConfig/OptimizedConfig must reproduce these bytes
-// exactly on the same seed; regenerate only for an intentional behavior
-// change, with WSMALLOC_UPDATE_GOLDEN=1 go test ./internal/fleet -run
-// TestDesignEquivalenceGolden.
+// baseline and optimized configurations, as built from the policy
+// registry, to golden files for the current sampling epoch: any
+// behavioral drift in any tier, the policy encoding or the workload
+// stream shows up as a byte diff. Re-cut only for an intentional change,
+// together with every other golden, through the golden package's
+// -update switch (go test . ./internal/fleet -run Golden -update).
 func TestDesignEquivalenceGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -88,27 +88,7 @@ func TestDesignEquivalenceGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := equivExports(t, tc.cfg)
-			path := filepath.Join("testdata", "equiv_"+tc.name+".golden")
-			if os.Getenv("WSMALLOC_UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("wrote %s (%d bytes)", path, len(got))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (regenerate with WSMALLOC_UPDATE_GOLDEN=1): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s exports drifted from the pre-refactor golden (%d vs %d bytes); "+
-					"the policy registry must be byte-identical to the legacy constructors",
-					tc.name, len(got), len(want))
-			}
+			golden.Check(t, filepath.Join("testdata", "equiv_"+tc.name+".golden"), equivExports(t, tc.cfg))
 		})
 	}
 }

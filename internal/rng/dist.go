@@ -78,14 +78,7 @@ type LogNormalDist struct {
 
 // Sample implements Dist.
 func (d LogNormalDist) Sample(r *RNG) float64 {
-	v := r.LogNormal(d.Mu, d.Sigma)
-	if d.Min != 0 && v < d.Min {
-		v = d.Min
-	}
-	if d.Max != 0 && v > d.Max {
-		v = d.Max
-	}
-	return v
+	return clamp(r.LogNormal(d.Mu, d.Sigma), d.Min, d.Max)
 }
 
 // ParetoDist is a Dist with scale Xm and shape Alpha, optionally capped at
@@ -97,9 +90,16 @@ type ParetoDist struct {
 
 // Sample implements Dist.
 func (d ParetoDist) Sample(r *RNG) float64 {
-	v := r.Pareto(d.Xm, d.Alpha)
-	if d.Max > 0 && v > d.Max {
-		v = d.Max
+	return clamp(r.Pareto(d.Xm, d.Alpha), 0, d.Max)
+}
+
+// clamp bounds v to [lo, hi]; a zero bound is unset.
+func clamp(v, lo, hi float64) float64 {
+	if lo != 0 && v < lo {
+		return lo
+	}
+	if hi != 0 && v > hi {
+		return hi
 	}
 	return v
 }
@@ -119,9 +119,15 @@ type Component struct {
 // Mixture is a weighted mixture of distributions. The fleet object-size
 // distribution (Fig. 7) and the per-size-band lifetime distributions
 // (Fig. 8) are modeled as mixtures.
+//
+// NewMixture compiles each branch into an arm: LogNormalDist and
+// ParetoDist branches are drawn in log space from a table of their
+// parameters, with no interface call and no Log or Pow, and leave log
+// space through a single Exp, after any Warp.
 type Mixture struct {
 	components []Component
 	cdf        []float64
+	arms       []arm
 }
 
 // NewMixture builds a mixture; weights are normalized and must sum to a
@@ -140,23 +146,136 @@ func NewMixture(components ...Component) *Mixture {
 	if total <= 0 {
 		panic("rng: mixture weights sum to zero")
 	}
-	m := &Mixture{components: components, cdf: make([]float64, len(components))}
+	m := &Mixture{
+		components: components,
+		cdf:        make([]float64, len(components)),
+		arms:       make([]arm, len(components)),
+	}
 	acc := 0.0
 	for i, c := range components {
 		acc += c.Weight / total
 		m.cdf[i] = acc
+		m.arms[i] = compileArm(c.Dist)
 	}
 	return m
 }
 
 // Sample implements Dist.
-func (m *Mixture) Sample(r *RNG) float64 {
+func (m *Mixture) Sample(r *RNG) float64 { return m.SampleWarped(r, Warp{}) }
+
+// SampleWarped draws one value with w applied to it.
+func (m *Mixture) SampleWarped(r *RNG, w Warp) float64 {
 	u := r.Float64()
 	i := searchCDF(m.cdf, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
+	if i >= len(m.arms) {
+		i = len(m.arms) - 1
 	}
-	return m.components[i].Dist.Sample(r)
+	return m.arms[i].sample(r, w)
+}
+
+// SampleWarped draws one value from d with w applied to it: in log space
+// inside a Mixture's draw, on the drawn value otherwise. The zero Warp
+// makes it d.Sample.
+func SampleWarped(d Dist, r *RNG, w Warp) float64 {
+	if m, ok := d.(*Mixture); ok {
+		return m.SampleWarped(r, w)
+	}
+	return w.Apply(d.Sample(r))
+}
+
+// Warp is a power-law knee: values up to a cutoff pass through, and a
+// value v above it becomes cutoff·(v/cutoff)^gamma. In log space that
+// is a linear map above ln cutoff, so a draw made in log space pays for
+// it with the Exp it needs anyway. The zero Warp is the identity.
+type Warp struct {
+	cutoff, lc, gamma float64
+}
+
+// NewWarp returns the knee at cutoff > 0 with exponent gamma > 0.
+func NewWarp(cutoff, gamma float64) Warp {
+	return Warp{cutoff: cutoff, lc: math.Log(cutoff), gamma: gamma}
+}
+
+// Apply warps a value drawn in linear space.
+func (w Warp) Apply(v float64) float64 {
+	if w.gamma == 0 || !(v > w.cutoff) {
+		return v
+	}
+	return exp(w.lc + w.gamma*(math.Log(v)-w.lc))
+}
+
+// arm is one mixture branch compiled for log-space sampling.
+type arm struct {
+	kind armKind
+	// ln v = a + b·N(0,1) (armLogNormal) or a + b·Exp(1) (armPareto).
+	a, b float64
+	// lo and hi clamp ln v (±Inf when unset); min and max are the same
+	// bounds in linear space, returned exactly by a clamped draw that
+	// the warp leaves alone.
+	lo, hi   float64
+	min, max float64
+	// dist is an armOther branch, sampled in linear space.
+	dist Dist
+}
+
+type armKind uint8
+
+const (
+	armOther armKind = iota
+	armLogNormal
+	armPareto
+)
+
+func compileArm(d Dist) arm {
+	switch d := d.(type) {
+	case LogNormalDist:
+		a := arm{kind: armLogNormal, a: d.Mu, b: d.Sigma}
+		a.setBounds(d.Min, d.Max)
+		return a
+	case ParetoDist:
+		a := arm{kind: armPareto, a: math.Log(d.Xm), b: 1 / d.Alpha}
+		a.setBounds(0, d.Max)
+		return a
+	}
+	return arm{kind: armOther, dist: d}
+}
+
+// setBounds records the clamp [lo, hi]; a zero bound is unset.
+func (a *arm) setBounds(lo, hi float64) {
+	a.min, a.max = lo, hi
+	a.lo, a.hi = math.Inf(-1), math.Inf(1)
+	if lo != 0 {
+		a.lo = math.Log(lo)
+	}
+	if hi != 0 {
+		a.hi = math.Log(hi)
+	}
+}
+
+// sample draws ln v, clamps it, applies w and leaves log space.
+func (a *arm) sample(r *RNG, w Warp) float64 {
+	var lx float64
+	switch a.kind {
+	case armLogNormal:
+		lx = a.a + a.b*r.NormFloat64()
+	case armPareto:
+		lx = a.a + a.b*r.ExpFloat64()
+	default:
+		return w.Apply(a.dist.Sample(r))
+	}
+	exact := 0.0
+	if lx < a.lo {
+		lx, exact = a.lo, a.min
+	} else if lx > a.hi {
+		lx, exact = a.hi, a.max
+	}
+	if w.gamma != 0 && lx > w.lc {
+		return exp(w.lc + w.gamma*(lx-w.lc))
+	}
+	if exact != 0 {
+		return exact
+	}
+	return exp(lx)
 }
 
 // searchCDF returns the smallest index i with cdf[i] >= u, exactly as

@@ -8,18 +8,12 @@
 // fast, and well understood.
 package rng
 
-import "math"
-
 // RNG is a deterministic pseudo-random number generator (PCG-XSH-RR 64/32,
 // extended to 64-bit outputs by pairing draws). It is not safe for
 // concurrent use; give each goroutine its own stream via Split.
 type RNG struct {
 	state uint64
 	inc   uint64
-
-	// cached normal variate for the Box-Muller pair.
-	hasGauss bool
-	gauss    float64
 }
 
 // New returns a generator seeded from seed. Distinct seeds yield
@@ -104,51 +98,16 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller).
-func (r *RNG) NormFloat64() float64 {
-	if r.hasGauss {
-		r.hasGauss = false
-		return r.gauss
-	}
-	var u, v, s float64
-	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
-		}
-	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.gauss = v * f
-	r.hasGauss = true
-	return u * f
-}
-
-// ExpFloat64 returns an exponential variate with rate 1 (mean 1).
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // LogNormal returns exp(N(mu, sigma)).
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return exp(mu + sigma*r.NormFloat64())
 }
 
 // Pareto returns a Pareto variate with scale xm > 0 and shape alpha > 0.
-// The density is alpha*xm^alpha / x^(alpha+1) for x >= xm.
+// The density is alpha*xm^alpha / x^(alpha+1) for x >= xm. It is drawn
+// in log space: ln(x/xm) is exponential with rate alpha.
 func (r *RNG) Pareto(xm, alpha float64) float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return xm / math.Pow(u, 1/alpha)
-		}
-	}
+	return xm * exp(r.ExpFloat64()/alpha)
 }
 
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.

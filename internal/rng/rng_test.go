@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -297,4 +298,147 @@ func BenchmarkMixtureSample(b *testing.B) {
 		sink += m.Sample(r)
 	}
 	_ = sink
+}
+
+// ksOneSample is the one-sample Kolmogorov-Smirnov distance between xs
+// (sorted in place) and the continuous CDF cdf.
+func ksOneSample(xs []float64, cdf func(float64) float64) float64 {
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	d := 0.0
+	for i, x := range xs {
+		f := cdf(x)
+		d = math.Max(d, math.Max(f-float64(i)/n, float64(i+1)/n-f))
+	}
+	return d
+}
+
+// TestZigguratMatchesCDF: the ziggurat normal and exponential pass a
+// one-sample KS test at alpha = 0.001 against the exact CDFs, and their
+// tails (the draws past the base strip, taken by a separate path) carry
+// the exact mass to within five standard errors.
+func TestZigguratMatchesCDF(t *testing.T) {
+	const n = 1_000_000
+	crit := 1.95 / math.Sqrt(n)
+	cases := []struct {
+		name  string
+		draw  func(r *RNG) float64
+		cdf   func(float64) float64
+		tail  func(float64) bool
+		ptail float64
+	}{
+		{"normal", (*RNG).NormFloat64,
+			func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) },
+			func(x float64) bool { return math.Abs(x) > normR },
+			math.Erfc(normR / math.Sqrt2)},
+		{"exponential", (*RNG).ExpFloat64,
+			func(x float64) float64 { return -math.Expm1(-x) },
+			func(x float64) bool { return x > expR },
+			math.Exp(-expR)},
+	}
+	for _, c := range cases {
+		r := New(101)
+		xs := make([]float64, n)
+		tail := 0
+		for i := range xs {
+			xs[i] = c.draw(r)
+			if c.tail(xs[i]) {
+				tail++
+			}
+		}
+		if d := ksOneSample(xs, c.cdf); d >= crit {
+			t.Errorf("%s: KS D = %.5f >= %.5f", c.name, d, crit)
+		}
+		want := c.ptail * n
+		if got := float64(tail); math.Abs(got-want) > 5*math.Sqrt(want) {
+			t.Errorf("%s: %v draws in the tail, want %.0f", c.name, got, want)
+		}
+	}
+}
+
+// TestZigguratTables: every layer of both ziggurats has the declared
+// area, and the top layer peaks at f(0) = 1.
+func TestZigguratTables(t *testing.T) {
+	for _, z := range []struct {
+		name string
+		zig  ziggurat
+		n    int
+		v    float64
+	}{{"normal", zigNorm, normLayers, normV}, {"exponential", zigExp, expLayers, expV}} {
+		if got := z.zig.f[z.n]; got != 1 {
+			t.Errorf("%s: top layer peaks at %v, want 1", z.name, got)
+		}
+		for i := 1; i < z.n-1; i++ {
+			x := z.zig.w[i] * (1 << 53)
+			if area := x * (z.zig.f[i+1] - z.zig.f[i]); math.Abs(area/z.v-1) > 1e-9 {
+				t.Fatalf("%s: layer %d has area %v, want %v", z.name, i, area, z.v)
+			}
+		}
+		top := z.n - 1
+		if area := z.zig.w[top] * (1 << 53) * (1 - z.zig.f[top]); math.Abs(area/z.v-1) > 1e-6 {
+			t.Errorf("%s: top layer has area %v, want %v", z.name, area, z.v)
+		}
+	}
+}
+
+// TestMixtureArmMatchesDist: a mixture branch compiled to a log-space
+// arm draws the same value, from the same stream, as the distribution
+// it was compiled from.
+func TestMixtureArmMatchesDist(t *testing.T) {
+	for _, d := range []Dist{
+		LogNormalDist{Mu: 5, Sigma: 3, Min: 8, Max: 1024},
+		LogNormalDist{Mu: 11.5, Sigma: 1.6, Min: 1e3, Max: 1e6},
+		ParetoDist{Xm: 60e9, Alpha: 0.9, Max: 7 * 86400e9},
+		ExpDist{Mean: 4e6},
+	} {
+		a, b := New(7), New(7)
+		m := NewMixture(Component{Weight: 1, Dist: d})
+		for i := 0; i < 10000; i++ {
+			a.Float64() // the mixture's branch pick
+			want := d.Sample(a)
+			if got := m.Sample(b); math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("%T draw %d: arm %v, dist %v", d, i, got, want)
+			}
+		}
+	}
+}
+
+// TestWarpInLogSpace: a mixture draw warped in log space equals the
+// warp applied to the same unwarped draw, and clamp atoms below the
+// cutoff come back exact.
+func TestWarpInLogSpace(t *testing.T) {
+	m := NewMixture(
+		Component{Weight: 0.5, Dist: LogNormalDist{Mu: 16, Sigma: 1.4, Min: 1e5, Max: 30e9}},
+		Component{Weight: 0.3, Dist: LogNormalDist{Mu: 20, Sigma: 1.2, Min: 30e9, Max: 3600e9}},
+		Component{Weight: 0.2, Dist: ParetoDist{Xm: 3600e9, Alpha: 1, Max: 7 * 86400e9}},
+	)
+	w := NewWarp(20e6, 0.22)
+	a, b := New(3), New(3)
+	for i := 0; i < 100000; i++ {
+		got, want := m.SampleWarped(a, w), w.Apply(m.Sample(b))
+		if math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("draw %d: warped in log space %v, warped after %v", i, got, want)
+		}
+		if got <= 1e5 && got != 1e5 {
+			t.Fatalf("draw %d: clamp atom %v is not exact", i, got)
+		}
+	}
+}
+
+// TestExpMatchesMath: the samplers' table-driven exp agrees with math.Exp
+// to 1e-15 relative over the range draws use, and defers to it outside.
+func TestExpMatchesMath(t *testing.T) {
+	for x := -699.0; x < 699; x += 0.000937 {
+		if got, want := exp(x), math.Exp(x); math.Abs(got-want) > 1e-15*want {
+			t.Fatalf("exp(%v) = %v, math.Exp = %v", x, got, want)
+		}
+	}
+	for _, x := range []float64{0, 1, -1, math.Ln2, 710, -750, math.Inf(1), math.Inf(-1)} {
+		if got, want := exp(x), math.Exp(x); got != want && math.Abs(got-want) > 1e-15*want {
+			t.Errorf("exp(%v) = %v, math.Exp = %v", x, got, want)
+		}
+	}
+	if !math.IsNaN(exp(math.NaN())) {
+		t.Error("exp(NaN) is not NaN")
+	}
 }

@@ -36,9 +36,14 @@ import (
 
 // Version is the current snapshot format version. A blob recording any
 // other version is rejected at NewDecoder time: the simulator's state
-// layout changes in lockstep with this constant, and resuming across
-// layouts would silently diverge from the uninterrupted run.
-const Version = 1
+// layout and its sampling epoch (which random streams a seed yields)
+// change in lockstep with this constant, and resuming across either
+// would silently diverge from the uninterrupted run.
+//
+// Version 2 is the ziggurat sampling epoch: the generator no longer
+// carries a cached normal variate, and every stream differs from
+// version 1's.
+const Version = 2
 
 // magic identifies a snapshot blob.
 var magic = [4]byte{'W', 'S', 'M', 'S'}
@@ -143,7 +148,8 @@ func NewDecoder(blob []byte) (*Decoder, error) {
 	}
 	ver := binary.LittleEndian.Uint32(blob[4:8])
 	if ver != Version {
-		return nil, fmt.Errorf("snapshot: version %d, want %d", ver, Version)
+		return nil, fmt.Errorf("snapshot: version %d, want %d: written by a build with another "+
+			"state layout or sampling epoch, whose runs do not continue in this one", ver, Version)
 	}
 	sum := binary.LittleEndian.Uint64(blob[8:16])
 	n := binary.LittleEndian.Uint32(blob[16:20])

@@ -175,9 +175,11 @@ type Driver struct {
 	threads int
 	// Hot-loop caches, derived (never serialized): gapNs is
 	// MeanAllocGapNs/threads, refreshed by setThreads; cpuSet is the
-	// clamped CPU-set width, refreshed when the allocator binds.
+	// clamped CPU-set width, refreshed when the allocator binds; warp is
+	// the options' time warp, which lifetimes are drawn through.
 	gapNs  float64
 	cpuSet int
+	warp   rng.Warp
 	// The death wheel: slot b&wheelMask of wheelRing holds bucket b's
 	// objects while b is inside [curBucket, curBucket+wheelRingSize);
 	// later buckets live in wheelFar until the window reaches them.
@@ -246,6 +248,7 @@ func NewDriver(p Profile, a *core.Allocator, opts Options) *Driver {
 		opts:      opts,
 		r:         rng.New(opts.Seed),
 		dyn:       dyn,
+		warp:      rng.NewWarp(float64(opts.TimeWarpCutoffNs), opts.TimeWarpGamma),
 		rec:       opts.Record,
 		play:      opts.Replay,
 		wheelRing: make([][]object, wheelRingSize),
@@ -357,7 +360,10 @@ func (d *Driver) drawLifetime(size int) int64 {
 	if d.play != nil {
 		return d.play.life.next()
 	}
-	life := d.warp(d.profile.Lifetime.Sample(d.r, size))
+	life := d.profile.Lifetime.SampleWarped(d.r, size, d.warp)
+	if life < 1 {
+		life = 1
+	}
 	if d.rec != nil {
 		d.rec.life.put(life)
 	}
@@ -404,18 +410,6 @@ func (d *Driver) refreshCPUSet() {
 		set = 1
 	}
 	d.cpuSet = set
-}
-
-// warp compresses a lifetime per the options.
-func (d *Driver) warp(life int64) int64 {
-	if life <= d.opts.TimeWarpCutoffNs {
-		if life < 1 {
-			return 1
-		}
-		return life
-	}
-	c := float64(d.opts.TimeWarpCutoffNs)
-	return int64(c * math.Pow(float64(life)/c, d.opts.TimeWarpGamma))
 }
 
 // pickThread selects the worker issuing the next operation. Thread pools

@@ -35,15 +35,27 @@ type LifetimeModel struct {
 	Bands []LifetimeBand
 }
 
-// Sample draws a lifetime in nanoseconds for an object of the given size.
+// Sample draws a lifetime in nanoseconds for an object of the given
+// size: the Fig. 8 distribution, unwarped.
 func (m LifetimeModel) Sample(r *rng.RNG, size int) int64 {
+	return m.SampleWarped(r, size, rng.Warp{})
+}
+
+// SampleWarped draws a lifetime with the time warp w applied. Mixture
+// bands draw it in log space and apply the warp before their one Exp
+// (see rng.Mixture).
+func (m LifetimeModel) SampleWarped(r *rng.RNG, size int, w rng.Warp) int64 {
+	return int64(rng.SampleWarped(m.band(size), r, w))
+}
+
+// band returns the lifetime distribution for objects of the given size.
+func (m LifetimeModel) band(size int) rng.Dist {
 	for _, b := range m.Bands {
 		if size <= b.MaxSize {
-			return int64(b.Dist.Sample(r))
+			return b.Dist
 		}
 	}
-	last := m.Bands[len(m.Bands)-1]
-	return int64(last.Dist.Sample(r))
+	return m.Bands[len(m.Bands)-1].Dist
 }
 
 // Profile describes one application's allocation behaviour.

@@ -198,18 +198,19 @@ func TestDriverDrainRemaining(t *testing.T) {
 func TestTimeWarpMonotoneAndIdentityBelowCutoff(t *testing.T) {
 	a := core.New(core.BaselineConfig(), topology.New(topology.Default()))
 	d := NewDriver(Fleet(), a, DefaultOptions(1))
-	if got := d.warp(1000); got != 1000 {
+	warp := func(life int64) int64 { return int64(d.warp.Apply(float64(life))) }
+	if got := warp(1000); got != 1000 {
 		t.Fatalf("warp(1000) = %d", got)
 	}
 	prev := int64(0)
 	for _, life := range []int64{Millisecond, Second, Minute, Hour, Day} {
-		w := d.warp(life)
+		w := warp(life)
 		if w <= prev {
 			t.Fatalf("warp not monotone at %d: %d <= %d", life, w, prev)
 		}
 		prev = w
 	}
-	if w := d.warp(Day); w >= Day {
+	if w := warp(Day); w >= Day {
 		t.Fatal("warp did not compress day-scale lifetime")
 	}
 }

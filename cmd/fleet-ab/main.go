@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"wsmalloc"
+	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/gwp"
 	"wsmalloc/internal/profiling"
 )
@@ -215,12 +216,7 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write aggregated telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")
 	serveAddr := flag.String("serve", "", "serve /metricsz (and /heapz with -heapprof) on this address after the run (implies -telemetry, blocks)")
 	workers := flag.Int("j", 0, "concurrent machine simulations (0 = all cores, 1 = sequential)")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for per-machine checkpoints (enables crash-tolerant runs)")
-	checkpointEveryMs := flag.Int64("checkpoint-every-ms", 0, "virtual checkpoint cadence in ms (0 = duration/4; needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume every machine from its checkpoint in -checkpoint-dir")
-	killFrac := flag.Float64("kill-frac", 0, "kill every machine at this fraction of virtual time after checkpointing (exit code 3; needs -checkpoint-dir)")
-	churn := flag.Float64("churn", 0, "probability each machine run is killed once mid-run and restarted cold (machine churn)")
-	restartOnOOM := flag.Bool("restart-on-oom", false, "OOM-kill and restart a machine on allocation failure instead of dropping the op (pair with -chaos-budget-mb)")
+	lifecycleFlags := fleet.BindLifecycleFlags(flag.CommandLine)
 	retries := flag.Int("retries", 1, "max attempts per machine run; retries resume from the machine's checkpoint")
 	retuneAtMs := flag.Int64("retune-at-ms", 0, "live-swap every experiment-arm machine to -retune-design at this virtual time (0 disables)")
 	retuneDesign := flag.String("retune-design", "", "design point the experiment arm retunes to at -retune-at-ms (control arm never retunes)")
@@ -281,23 +277,14 @@ func main() {
 	}
 	opts.AuditEveryNs = *auditEveryMs * 1_000_000
 	opts.Workers = *workers
-	if *checkpointDir != "" {
-		everyNs := *checkpointEveryMs * 1_000_000
-		if everyNs == 0 {
-			everyNs = opts.DurationNs / 4
-		}
-		opts.Checkpoint = wsmalloc.CheckpointOptions{
-			Dir:        *checkpointDir,
-			EveryNs:    everyNs,
-			Resume:     *resume,
-			KillAtFrac: *killFrac,
-		}
-	} else if *resume || *killFrac > 0 {
-		fmt.Fprintln(os.Stderr, "-resume and -kill-frac need -checkpoint-dir")
+	lc, err := lifecycleFlags.Options(opts.DurationNs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	opts.Churn = *churn
-	opts.RestartOnOOM = *restartOnOOM
+	opts.Checkpoint = lc.Checkpoint
+	opts.Churn = lc.Churn
+	opts.RestartOnOOM = lc.RestartOnOOM
 	if *retries > 1 {
 		opts.Retry = wsmalloc.RetryPolicy{
 			MaxAttempts: *retries,

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"wsmalloc"
+	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/profiling"
 )
 
@@ -50,12 +51,7 @@ func main() {
 	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler and dump heapz/allocz/peakheapz")
 	heapprofInterval := flag.Int64("heapprof-interval", 0, "mean sampled-allocation interval in bytes (0 = default 512 KiB)")
 	pageheapzOn := flag.Bool("pageheapz", false, "dump hugepage occupancy maps and the fragmentation decomposition")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for run checkpoints (enables crash-tolerant runs)")
-	checkpointEveryMs := flag.Int64("checkpoint-every-ms", 0, "virtual checkpoint cadence in ms (0 = duration/4; needs -checkpoint-dir)")
-	resume := flag.Bool("resume", false, "resume the run from its checkpoint in -checkpoint-dir")
-	killFrac := flag.Float64("kill-frac", 0, "kill the run at this fraction of virtual time after checkpointing (exit code 3; needs -checkpoint-dir)")
-	churn := flag.Float64("churn", 0, "probability the run is killed once mid-run and restarted cold (machine churn)")
-	restartOnOOM := flag.Bool("restart-on-oom", false, "OOM-kill and restart on allocation failure instead of dropping the op (pair with a Config fault budget)")
+	lifecycleFlags := fleet.BindLifecycleFlags(flag.CommandLine)
 	retuneAtMs := flag.Int64("retune-at-ms", 0, "live-swap the allocator to -retune-design at this virtual time (0 disables)")
 	retuneDesign := flag.String("retune-design", "", "design point applied live at -retune-at-ms (e.g. \"optimized\" or \"percpu=hetero,tc=nuca,cfl=prio8,filler=capacity\")")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
@@ -153,54 +149,36 @@ func main() {
 		opts.RetuneDesign = rdp.String()
 	}
 
-	// Lifecycle mode runs the profile through the crash-tolerant machine
-	// runner: periodic checkpoints, scheduled/churn kills, OOM restarts.
+	// Lifecycle mode runs the profile as a fleet of one on the machine
+	// runtime: periodic checkpoints, scheduled/churn kills, OOM restarts.
 	// A restarted run loses its heap and caches but keeps its workload
 	// position. The allocator lives inside the runner, so the live
 	// /pageheapz, /tracez and -serve views are unavailable in this mode.
-	lifecycleOn := *checkpointDir != "" || *churn > 0 || *restartOnOOM
-	if (*resume || *killFrac > 0) && *checkpointDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume and -kill-frac need -checkpoint-dir")
+	lc, err := lifecycleFlags.Options(opts.Duration)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if lifecycleOn && (*pageheapzOn || *serveAddr != "") {
+	if lc.Enabled() && (*pageheapzOn || *serveAddr != "") {
 		fmt.Fprintln(os.Stderr, "-pageheapz and -serve are not available with lifecycle flags")
 		os.Exit(2)
 	}
 
 	var res wsmalloc.RunResult
 	var alloc *wsmalloc.Allocator
-	var machineTel *wsmalloc.TelemetryRegistry
-	var machineProfiles []wsmalloc.HeapProfile
-	if lifecycleOn {
-		everyNs := *checkpointEveryMs * 1_000_000
-		if everyNs == 0 {
-			everyNs = opts.Duration / 4
-		}
+	var rm wsmalloc.MachineRunMetrics
+	if lc.Enabled() {
 		m := wsmalloc.Machine{ID: 0, Platform: wsmalloc.DefaultPlatform(), App: profile, Seed: *seed}
-		lc := wsmalloc.LifecycleOptions{
-			Arm:          "sim",
-			Design:       runLabel,
-			Churn:        *churn,
-			ChurnSeed:    *seed ^ 0xc0ffee,
-			RestartOnOOM: *restartOnOOM,
-		}
-		if *checkpointDir != "" {
-			lc.Checkpoint = wsmalloc.CheckpointOptions{
-				Dir:        *checkpointDir,
-				EveryNs:    everyNs,
-				Resume:     *resume,
-				KillAtFrac: *killFrac,
-			}
-		}
-		rm, lcStats, halted, err := wsmalloc.RunMachineLifecycle(m, cfg, opts, lc)
+		lc.Arm, lc.Design, lc.ChurnSeed = "sim", runLabel, *seed^0xc0ffee
+		r, lcStats, halted, err := wsmalloc.RunMachineLifecycle(m, cfg, opts, lc)
+		rm = r
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		if halted {
 			fmt.Printf("run killed at %.0f%% virtual time; checkpointed to %s — re-run with -resume to finish\n",
-				*killFrac*100, *checkpointDir)
+				lc.Checkpoint.KillAtFrac*100, lc.Checkpoint.Dir)
 			os.Exit(3)
 		}
 		if lcStats.ChurnKills+lcStats.OOMKills+lcStats.Restarts > 0 {
@@ -208,8 +186,6 @@ func main() {
 				lcStats.ChurnKills, lcStats.OOMKills, lcStats.Restarts)
 		}
 		res = rm.Result
-		machineTel = rm.Telemetry
-		machineProfiles = rm.HeapProfiles
 	} else {
 		alloc = wsmalloc.NewAllocator(cfg, wsmalloc.DefaultPlatform())
 		res = wsmalloc.RunWorkloadOn(profile, alloc, opts)
@@ -249,32 +225,41 @@ func main() {
 		fmt.Printf("    %-16s %6.2f%%\n", k, shares[k]*100)
 	}
 
+	// -design identifies the run by its full design string rather than by
+	// the -config name it overrode.
+	label := *configName
+	if design != "" {
+		label = ""
+	}
 	var snaps []wsmalloc.TelemetrySnapshot
 	var series []wsmalloc.TelemetrySnapshot
 	var trace wsmalloc.TraceDump
+	var profiles []wsmalloc.HeapProfile
 	if alloc != nil {
 		if tel := alloc.Telemetry(); tel != nil {
-			snap := tel.Snapshot(*configName, alloc.Now())
-			if design != "" {
-				// -design identifies the run by its full design string rather
-				// than by the -config name it overrode.
-				snap = tel.Snapshot("", alloc.Now())
-				snap.Design = design
-			}
+			snap := tel.Snapshot(label, alloc.Now())
+			snap.Design = design
 			snaps = []wsmalloc.TelemetrySnapshot{snap}
 			trace = tel.Tracer().Dump()
 			series = tel.Samples()
 		}
-	} else if machineTel != nil {
-		// Lifecycle mode: the registry survives restarts and resume; the
-		// trace ring and sampler series stay inside the runner.
-		label := *configName
-		if design != "" {
-			label = ""
+		profiles = alloc.HeapProfiles(label)
+	} else {
+		if rm.Telemetry != nil {
+			// Lifecycle mode: the registry survives resume and carries every
+			// dead process's counters and histograms (gauges describe the
+			// live process); the trace ring and series stay in the runner.
+			snap := rm.Telemetry.Snapshot(label, opts.Duration)
+			snap.Design = design
+			snaps = []wsmalloc.TelemetrySnapshot{snap}
 		}
-		snap := machineTel.Snapshot(label, opts.Duration)
-		snap.Design = design
-		snaps = []wsmalloc.TelemetrySnapshot{snap}
+		profiles = rm.HeapProfiles
+		for i := range profiles {
+			profiles[i].Label = label
+		}
+	}
+	for i := range profiles {
+		profiles[i].Design = design
 	}
 	if len(snaps) > 0 {
 		if *metricsOut != "" {
@@ -295,25 +280,6 @@ func main() {
 		}
 	}
 
-	var profiles []wsmalloc.HeapProfile
-	if alloc != nil {
-		profiles = alloc.HeapProfiles(*configName)
-		if design != "" {
-			profiles = alloc.HeapProfiles("")
-			for i := range profiles {
-				profiles[i].Design = design
-			}
-		}
-	} else {
-		profiles = machineProfiles
-		for i := range profiles {
-			if design != "" {
-				profiles[i].Design = design
-			} else {
-				profiles[i].Label = *configName
-			}
-		}
-	}
 	if len(profiles) > 0 {
 		if *metricsOut != "" {
 			writeFile(*metricsOut+".heapz", func(w io.Writer) error {

@@ -1,9 +1,9 @@
 // Checkpoint/restore for the daemon: a manifest blob (tick position,
 // sketches, series ring, watchdog and alert state) plus one blob per
-// machine (allocator, driver, churn cursor, carry registry, lifecycle
-// counters). A daemon restored from these continues bit-identically to
-// one that was never stopped — the same contract the fleet runner's
-// per-machine checkpoints honour, lifted to the whole control plane.
+// machine (the checkpoint's tick, the churn cursor and tick deltas, then
+// the machine runtime's blob). A daemon restored from these continues
+// bit-identically to one that was never stopped — the fleet runner's
+// contract, lifted to the whole control plane.
 package daemon
 
 import (
@@ -58,8 +58,8 @@ func (d *Daemon) Checkpoint() error {
 		return fmt.Errorf("daemon: no checkpoint directory configured")
 	}
 	for i, ms := range d.machines {
-		if err := snapshot.WriteFileAtomic(d.machinePath(i), d.encodeMachine(ms)); err != nil {
-			return fmt.Errorf("daemon: checkpoint machine %d: %w", ms.m.ID, err)
+		if err := snapshot.WriteFileAtomic(d.machinePath(i), d.encodeMember(ms)); err != nil {
+			return fmt.Errorf("daemon: checkpoint machine %d: %w", ms.rt.Desc.ID, err)
 		}
 	}
 	blob, err := d.encodeManifest()
@@ -115,55 +115,39 @@ func (d *Daemon) encodeManifest() ([]byte, error) {
 	return e.Finish(), nil
 }
 
-func (ms *machine) fingerprint() string {
-	return fmt.Sprintf("machine=%d seed=%#x platform=%s app=%s", ms.m.ID, ms.m.Seed, ms.m.Platform.Name, ms.m.App.Name)
-}
-
-func (d *Daemon) encodeMachine(ms *machine) []byte {
+// encodeMember writes one machine blob, stamped with the tick of the
+// checkpoint it belongs to (the manifest's tick).
+func (d *Daemon) encodeMember(ms *member) []byte {
 	var e snapshot.Encoder
 	e.Section("daemon.machine")
-	e.String(ms.fingerprint())
-	e.String(ms.design)
+	e.I64(d.tick)
 	e.Bool(ms.started)
-	e.I64(ms.restarts)
-	e.I64(ms.churnKills)
-	e.I64(ms.oomKills)
-	e.I64(ms.burstKills)
 	e.I64(ms.prevOps)
 	e.F64(ms.prevMallocNs)
 	ms.churn.EncodeState(&e)
-	ms.carry.EncodeState(&e)
-	ms.alloc.EncodeState(&e)
-	ms.drv.EncodeState(&e)
+	ms.rt.EncodeState(&e)
 	return e.Finish()
 }
 
-func (d *Daemon) decodeMachine(blob []byte, ms *machine) error {
+// decodeMember restores one machine blob into a freshly built member.
+// A blob stamped with any tick but the restored manifest's is left over
+// from an interrupted later checkpoint and refused. The stamp is the
+// tick, not the driver's clock: a stalled machine lags its tick.
+func (d *Daemon) decodeMember(blob []byte, ms *member) error {
 	dec, err := snapshot.NewDecoder(blob)
 	if err != nil {
 		return err
 	}
 	dec.Section("daemon.machine")
-	if got := dec.String(); dec.Err() == nil && got != ms.fingerprint() {
-		return fmt.Errorf("machine checkpoint belongs to a different machine:\n  blob: %s\n  want: %s", got, ms.fingerprint())
+	if stamp := dec.I64(); dec.Err() == nil && stamp != d.tick {
+		return fmt.Errorf("machine blob belongs to the checkpoint of tick %d, the manifest to tick %d "+
+			"(a checkpoint was interrupted; the directory mixes two generations)", stamp, d.tick)
 	}
-	ms.design = dec.String()
 	ms.started = dec.Bool()
-	ms.restarts = dec.I64()
-	ms.churnKills = dec.I64()
-	ms.oomKills = dec.I64()
-	ms.burstKills = dec.I64()
 	ms.prevOps = dec.I64()
 	ms.prevMallocNs = dec.F64()
 	ms.churn.DecodeState(dec)
-	ms.carry.DecodeState(dec)
-	if err := ms.alloc.DecodeState(dec); err != nil {
-		return err
-	}
-	if err := ms.drv.DecodeState(dec); err != nil {
-		return err
-	}
-	return dec.Err()
+	return ms.rt.DecodeState(dec)
 }
 
 // restore loads the manifest and every machine blob written by
@@ -233,11 +217,11 @@ func (d *Daemon) restore() error {
 
 	for i, ms := range d.machines {
 		mb, err := os.ReadFile(d.machinePath(i))
-		if err != nil {
-			return fmt.Errorf("daemon: resume machine %d: %w", ms.m.ID, err)
+		if err == nil {
+			err = d.decodeMember(mb, ms)
 		}
-		if err := d.decodeMachine(mb, ms); err != nil {
-			return fmt.Errorf("daemon: resume machine %d: %w", ms.m.ID, err)
+		if err != nil {
+			return fmt.Errorf("daemon: resume machine %d: %w", ms.rt.Desc.ID, err)
 		}
 	}
 	d.lastCheckpointTick = d.tick

@@ -31,11 +31,11 @@ import (
 	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/gwp"
 	"wsmalloc/internal/heapprof"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/sched"
 	"wsmalloc/internal/stats"
 	"wsmalloc/internal/telemetry"
-	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
 )
 
@@ -154,36 +154,21 @@ func DefaultConfig(seed uint64) Config {
 // is part of the checkpoint format and of the byte-determinism
 // contract.
 var sketchNames = []string{
-	"machine_tick_ops",          // per-machine ops completed in one tick
-	"machine_malloc_ns_per_op",  // per-machine mean malloc cost over one tick
-	"machine_heap_bytes",        // per-machine mapped heap at tick end
-	"machine_frag_ppm",          // per-machine fragmentation ratio, ppm
-	"machine_hugepage_ppm",      // per-machine hugepage coverage, ppm
+	"machine_tick_ops",         // per-machine ops completed in one tick
+	"machine_malloc_ns_per_op", // per-machine mean malloc cost over one tick
+	"machine_heap_bytes",       // per-machine mapped heap at tick end
+	"machine_frag_ppm",         // per-machine fragmentation ratio, ppm
+	"machine_hugepage_ppm",     // per-machine hugepage coverage, ppm
 }
 
-// machine is one enrolled simulated machine: a persistent allocator and
-// workload driver advanced tick by tick, plus the carry registry that
-// preserves cumulative counters across cold restarts.
-type machine struct {
-	m     fleet.Machine
-	cfg   core.Config
-	opts  workload.Options
-	alloc *core.Allocator
-	drv   *workload.Driver
+// member is one enrolled machine: its runtime, advanced tick by tick,
+// plus the daemon's kill-policy and tick-delta state.
+type member struct {
+	rt    *machine.Runtime
 	churn *rng.RNG
-	// design pins the design point the rollout controller put this
-	// machine on ("" = the construction config): live swaps apply it
-	// immediately and cold restarts re-apply it to the fresh allocator.
-	design string
-	// carry accumulates the counters and histograms of every process
-	// that died on this machine, so the fleet fold stays monotone.
-	carry *telemetry.Registry
 
-	started      bool
-	forceRestart bool // set by the fault-burst injector for this tick
-	stalled      bool // hit the per-tick OOM-restart cap this tick
-
-	restarts, churnKills, oomKills, burstKills int64
+	started bool
+	stalled bool // hit the per-tick OOM-restart cap this tick
 
 	// Cumulative driver counters after the last tick, for per-tick
 	// deltas.
@@ -201,7 +186,7 @@ type machine struct {
 // mu.
 type Daemon struct {
 	cfg      Config
-	machines []*machine
+	machines []*member
 
 	tick      int64
 	virtualNs int64
@@ -243,11 +228,11 @@ type Daemon struct {
 	introspectWanted atomic.Bool
 
 	// Admin surface: handlers set these; the tick loop consumes them.
-	paused    atomic.Bool
-	forceCkpt atomic.Bool
-	quitOnce  sync.Once
-	quitCh    chan struct{}
-	adminMu   sync.Mutex
+	paused        atomic.Bool
+	forceCkpt     atomic.Bool
+	quitOnce      sync.Once
+	quitCh        chan struct{}
+	adminMu       sync.Mutex
 	pendingInject struct {
 		ticks int
 		frac  float64
@@ -261,41 +246,41 @@ type Daemon struct {
 // published is everything the HTTP pages serve, rebuilt at the end of
 // every tick so scrapes never touch live simulation state.
 type published struct {
-	snap     telemetry.Snapshot
-	sketches []telemetry.SketchValue
-	heapz    []heapprof.Profile
-	pageheap core.PageHeapZ
+	snap        telemetry.Snapshot
+	sketches    []telemetry.SketchValue
+	heapz       []heapprof.Profile
+	pageheap    core.PageHeapZ
 	hasPageheap bool
-	trace    telemetry.TraceDump
-	status   Status
+	trace       telemetry.TraceDump
+	status      Status
 }
 
 // Status is the /statusz document.
 type Status struct {
-	Service            string                  `json:"service"`
-	UptimeSec          float64                 `json:"uptime_sec"`
-	Tick               int64                   `json:"tick"`
-	VirtualNs          int64                   `json:"virtual_ns"`
-	VirtualSec         float64                 `json:"virtual_sec"`
-	Design             string                  `json:"design"`
-	Machines           int                     `json:"machines"`
-	MachinesStalled    int                     `json:"machines_stalled"`
-	Restarts           int64                   `json:"restarts"`
-	ChurnKills         int64                   `json:"churn_kills"`
-	OOMKills           int64                   `json:"oom_kills"`
-	BurstKills         int64                   `json:"burst_kills"`
-	Paused             bool                    `json:"paused"`
-	BurstTicksLeft     int                     `json:"burst_ticks_left"`
-	LastCheckpointTick int64                   `json:"last_checkpoint_tick"`
-	CheckpointLagTicks int64                   `json:"checkpoint_lag_ticks"`
-	AlertsTotal        int64                   `json:"alerts_total"`
-	AlertsActive       int                     `json:"alerts_active"`
-	SeriesRetained     int                     `json:"series_retained"`
-	SeriesTotal        int64                   `json:"series_total"`
-	SeriesDropped      int64                   `json:"series_dropped"`
-	GWPEnabled         bool                    `json:"gwp_enabled,omitempty"`
-	GWPWindowsTotal    int64                   `json:"gwp_windows_total,omitempty"`
-	GWPLastWindow      string                  `json:"gwp_last_window,omitempty"`
+	Service            string  `json:"service"`
+	UptimeSec          float64 `json:"uptime_sec"`
+	Tick               int64   `json:"tick"`
+	VirtualNs          int64   `json:"virtual_ns"`
+	VirtualSec         float64 `json:"virtual_sec"`
+	Design             string  `json:"design"`
+	Machines           int     `json:"machines"`
+	MachinesStalled    int     `json:"machines_stalled"`
+	Restarts           int64   `json:"restarts"`
+	ChurnKills         int64   `json:"churn_kills"`
+	OOMKills           int64   `json:"oom_kills"`
+	BurstKills         int64   `json:"burst_kills"`
+	Paused             bool    `json:"paused"`
+	BurstTicksLeft     int     `json:"burst_ticks_left"`
+	LastCheckpointTick int64   `json:"last_checkpoint_tick"`
+	CheckpointLagTicks int64   `json:"checkpoint_lag_ticks"`
+	AlertsTotal        int64   `json:"alerts_total"`
+	AlertsActive       int     `json:"alerts_active"`
+	SeriesRetained     int     `json:"series_retained"`
+	SeriesTotal        int64   `json:"series_total"`
+	SeriesDropped      int64   `json:"series_dropped"`
+	GWPEnabled         bool    `json:"gwp_enabled,omitempty"`
+	GWPWindowsTotal    int64   `json:"gwp_windows_total,omitempty"`
+	GWPLastWindow      string  `json:"gwp_last_window,omitempty"`
 	// ActiveDesign is the design point in force fleet-wide (the last
 	// promoted rollout candidate, or Design before any promotion); the
 	// Rollout* fields mirror the in-flight staged rollout, if any.
@@ -347,8 +332,11 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.GWP = cfg.GWP.WithDefaults()
 	}
 
+	// Enrolment stride-samples the catalog like a fleet A/B, so daemon
+	// populations are comparable with experiment populations.
 	cat := fleet.New(cfg.Machines, cfg.Seed)
-	idx := enroll(len(cat.Machines), cfg.SampleFraction, cfg.MinMachines)
+	n := min(max(int(float64(cfg.Machines)*cfg.SampleFraction), cfg.MinMachines), cfg.Machines)
+	idx := fleet.StrideIndices(cfg.Machines, max(n, 1))
 	d := &Daemon{
 		cfg:     cfg,
 		ring:    telemetry.NewSeriesRing(cfg.RingCapacity),
@@ -398,17 +386,10 @@ func New(cfg Config) (*Daemon, error) {
 		opts.Duration = horizonNs
 		opts.DynamicsPeriodNs = cfg.DiurnalPeriodNs
 		opts.HaltOnAllocFailure = cfg.RestartOnOOM
-		alloc := core.New(acfg, topology.New(m.Platform))
-		ms := &machine{
-			m:     m,
-			cfg:   acfg,
-			opts:  opts,
-			alloc: alloc,
-			drv:   workload.NewDriver(m.App, alloc, opts),
+		d.machines = append(d.machines, &member{
+			rt:    machine.New(m, acfg, opts),
 			churn: rng.New(m.Seed ^ cfg.Seed ^ churnSalt),
-			carry: telemetry.NewRegistry(),
-		}
-		d.machines = append(d.machines, ms)
+		})
 	}
 	if len(d.machines) == 0 {
 		return nil, fmt.Errorf("daemon: enrolment selected no machines")
@@ -446,28 +427,6 @@ func (d *Daemon) Close() error {
 	return nil
 }
 
-// enroll stride-samples n of total machines, mirroring the fleet A/B
-// enrolment so daemon populations are comparable with experiment
-// populations.
-func enroll(total int, frac float64, minMachines int) []int {
-	n := int(float64(total) * frac)
-	if n < minMachines {
-		n = minMachines
-	}
-	if n > total {
-		n = total
-	}
-	if n < 1 {
-		n = 1
-	}
-	stride := total / n
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i * stride
-	}
-	return idx
-}
-
 // Tick advances the whole fleet by one virtual tick: admin commands are
 // drained, machines advance in parallel (restarting on churn, burst or
 // OOM), and the observability reduce folds every registry in enrolment
@@ -476,20 +435,21 @@ func enroll(total int, frac float64, minMachines int) []int {
 func (d *Daemon) Tick() error {
 	d.drainAdmin()
 
+	// A fault burst stride-selects the machines it restarts (every one at
+	// frac >= 1), the same deterministic sampling enrolment uses.
 	burstSet := map[int]bool{}
 	if d.burstTicks > 0 {
-		for _, i := range burstIndices(len(d.machines), d.burstFrac) {
+		total := len(d.machines)
+		n := min(int(math.Ceil(float64(total)*d.burstFrac)), total)
+		for _, i := range fleet.StrideIndices(total, max(n, 1)) {
 			burstSet[i] = true
 		}
 		d.burstTicks--
 	}
-	for i, ms := range d.machines {
-		ms.forceRestart = burstSet[i]
-	}
 
 	tickEnd := d.virtualNs + d.cfg.TickNs
 	err := sched.Map(context.Background(), len(d.machines), d.cfg.Workers, func(i int) error {
-		d.machines[i].advance(tickEnd, d.cfg)
+		d.machines[i].advance(tickEnd, d.cfg, burstSet[i])
 		return nil
 	})
 	if err != nil {
@@ -515,7 +475,7 @@ func (d *Daemon) Tick() error {
 // restarts at the tick boundary and OOM restarts mid-tick. Only this
 // machine's state is touched, which is what keeps the parallel advance
 // deterministic.
-func (ms *machine) advance(tickEnd int64, cfg Config) {
+func (ms *member) advance(tickEnd int64, cfg Config, burst bool) {
 	kill := false
 	if cfg.ChurnPerTick > 0 && ms.started {
 		// The draw happens every tick regardless of outcome so the
@@ -523,81 +483,23 @@ func (ms *machine) advance(tickEnd int64, cfg Config) {
 		kill = ms.churn.Float64() < cfg.ChurnPerTick
 	}
 	switch {
-	case ms.forceRestart && ms.started:
-		ms.restartCold()
-		ms.burstKills++
+	case burst && ms.started:
+		ms.rt.RestartCold(machine.Burst)
 	case kill:
-		ms.restartCold()
-		ms.churnKills++
+		ms.rt.RestartCold(machine.Churn)
 	}
-	ms.forceRestart = false
-	ms.stalled = false
 
-	ms.drv.SetHaltAt(tickEnd)
-	res := ms.drv.Run()
+	// Past the per-tick OOM cap the machine is thrashing: the rest of the
+	// tick stays unsimulated and the machine resumes next tick.
+	res, capped := ms.rt.RunUntil(tickEnd, cfg.MaxOOMRestartsPerTick)
+	ms.stalled = capped
 	ms.started = true
-	for oom := 0; ms.drv.Halted() && ms.drv.HaltReason() == workload.HaltAllocFailure; {
-		oom++
-		if oom > cfg.MaxOOMRestartsPerTick {
-			// Thrashing: leave the rest of this tick unsimulated rather
-			// than restart-loop forever. The machine resumes next tick.
-			ms.stalled = true
-			break
-		}
-		ms.restartCold()
-		ms.oomKills++
-		ms.drv.SetHaltAt(tickEnd)
-		res = ms.drv.Run()
-	}
 
 	ms.tickOps = res.Ops - ms.prevOps
 	ms.tickMallocNs = res.MallocNs - ms.prevMallocNs
 	ms.prevOps = res.Ops
 	ms.prevMallocNs = res.MallocNs
-	ms.lastStats = ms.alloc.Stats()
-}
-
-// restartCold simulates a process death and restart: the cumulative
-// counters of the dying process fold into the carry registry, then a
-// fresh allocator (empty heap, cold caches) takes over while the
-// workload keeps its position.
-func (ms *machine) restartCold() {
-	if tel := ms.alloc.Telemetry(); tel != nil {
-		tel.FlushGauges() // fold buffered observations before the registry dies
-		ms.carry.MergeCumulative(tel.Registry())
-	}
-	ms.alloc = core.New(ms.cfg, topology.New(ms.m.Platform))
-	if ms.design != "" {
-		// A rolled-out machine comes back up under the design the
-		// rollout controller put it on, not the construction config.
-		if err := ms.alloc.ApplyDesign(ms.design); err != nil {
-			panic(fmt.Sprintf("daemon: restart machine %d under design %q: %v", ms.m.ID, ms.design, err))
-		}
-	}
-	ms.drv.Restart(ms.alloc)
-	ms.restarts++
-}
-
-// burstIndices stride-selects the machines a fault burst restarts, the
-// same deterministic sampling enrolment uses.
-func burstIndices(total int, frac float64) []int {
-	if frac >= 1 {
-		idx := make([]int, total)
-		for i := range idx {
-			idx[i] = i
-		}
-		return idx
-	}
-	n := int(math.Ceil(float64(total) * frac))
-	if n < 1 {
-		n = 1
-	}
-	stride := total / n
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i * stride
-	}
-	return idx
+	ms.lastStats = ms.rt.Alloc().Stats()
 }
 
 // reduce folds every machine into the tick's canonical fleet registry
@@ -606,14 +508,10 @@ func burstIndices(total int, frac float64) []int {
 // ring, runs the watchdog, and publishes.
 func (d *Daemon) reduce() {
 	fleetReg := telemetry.NewRegistry()
-	var restarts, churnKills, oomKills, burstKills int64
+	var kills machine.Counters
 	stalled := 0
 	for _, ms := range d.machines {
-		fleetReg.Merge(ms.carry)
-		if tel := ms.alloc.Telemetry(); tel != nil {
-			tel.FlushGauges()
-			fleetReg.Merge(tel.Registry())
-		}
+		ms.rt.FoldTelemetry(fleetReg)
 		st := ms.lastStats
 		var perOp float64
 		if ms.tickOps > 0 {
@@ -625,10 +523,7 @@ func (d *Daemon) reduce() {
 		d.sketches[3].Add(st.FragmentationRatio() * 1e6)
 		d.sketches[4].Add(st.HugepageCoverage * 1e6)
 
-		restarts += ms.restarts
-		churnKills += ms.churnKills
-		oomKills += ms.oomKills
-		burstKills += ms.burstKills
+		kills.Add(ms.rt.Counters())
 		if ms.stalled {
 			stalled++
 		}
@@ -644,10 +539,10 @@ func (d *Daemon) reduce() {
 	g("daemon_virtual_ns", d.virtualNs)
 	g("daemon_machines", int64(len(d.machines)))
 	g("daemon_machines_stalled", int64(stalled))
-	g("daemon_restarts", restarts)
-	g("daemon_churn_kills", churnKills)
-	g("daemon_oom_kills", oomKills)
-	g("daemon_burst_kills", burstKills)
+	g("daemon_restarts", kills.Restarts)
+	g("daemon_churn_kills", kills.ChurnKills)
+	g("daemon_oom_kills", kills.OOMKills)
+	g("daemon_burst_kills", kills.BurstKills)
 	g("daemon_burst_ticks_left", int64(d.burstTicks))
 	g("rollouts_promoted", d.rolloutsPromoted)
 	g("rollouts_rolled_back", d.rolloutsRolledBack)
@@ -696,12 +591,12 @@ func (d *Daemon) reduce() {
 	// A promotion or rollback this tick changed the fleet-wide design;
 	// re-stamp the snapshot so /metricsz and /statusz agree.
 	snap.Design = d.effectiveDesign()
-	d.publishTick(snap, skVals, stalled, restarts, churnKills, oomKills, burstKills)
+	d.publishTick(snap, skVals, stalled, kills)
 }
 
 // publishTick rebuilds the page-visible state at the end of a tick.
 func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchValue,
-	stalled int, restarts, churnKills, oomKills, burstKills int64) {
+	stalled int, kills machine.Counters) {
 	pub := published{snap: snap, sketches: skVals}
 
 	// The deep views are expensive to render (sorting heap-profile
@@ -711,13 +606,13 @@ func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchV
 	// page was scraped since the last render.
 	if d.tick%int64(d.cfg.IntrospectEveryTicks) == 0 &&
 		(d.tick == 0 || d.introspectWanted.Swap(false)) {
-		ms0 := d.machines[0]
+		a0 := d.machines[0].rt.Alloc()
 		if d.cfg.HeapProfile {
-			pub.heapz = ms0.alloc.HeapProfiles("fleet")
+			pub.heapz = a0.HeapProfiles("fleet")
 		}
-		pub.pageheap = ms0.alloc.PageHeapZ()
+		pub.pageheap = a0.PageHeapZ()
 		pub.hasPageheap = true
-		if tel := ms0.alloc.Telemetry(); tel != nil && tel.Tracer() != nil {
+		if tel := a0.Telemetry(); tel != nil && tel.Tracer() != nil {
 			pub.trace = tel.Tracer().Dump()
 		}
 	} else {
@@ -738,10 +633,10 @@ func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchV
 		Design:             d.cfg.Design,
 		Machines:           len(d.machines),
 		MachinesStalled:    stalled,
-		Restarts:           restarts,
-		ChurnKills:         churnKills,
-		OOMKills:           oomKills,
-		BurstKills:         burstKills,
+		Restarts:           kills.Restarts,
+		ChurnKills:         kills.ChurnKills,
+		OOMKills:           kills.OOMKills,
+		BurstKills:         kills.BurstKills,
 		Paused:             d.paused.Load(),
 		BurstTicksLeft:     d.burstTicks,
 		LastCheckpointTick: d.lastCheckpointTick,
@@ -777,7 +672,7 @@ func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchV
 
 // publish installs the pre-first-tick empty document.
 func (d *Daemon) publish() {
-	d.publishTick(telemetry.Snapshot{Label: "fleet", Design: d.cfg.Design}, nil, 0, 0, 0, 0, 0)
+	d.publishTick(telemetry.Snapshot{Label: "fleet", Design: d.cfg.Design}, nil, 0, machine.Counters{})
 }
 
 // drainAdmin applies pending admin commands at a tick boundary, the

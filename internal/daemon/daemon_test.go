@@ -209,45 +209,90 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 }
 
 // TestResumeRejectsOldEpochCheckpoint: a checkpoint directory written at
-// snapshot version 1 — the sampling epoch before the ziggurat samplers —
-// must fail to resume with an error naming the version, never continue
-// silently onto this epoch's streams.
+// an older snapshot version — version 1, the sampling epoch before the
+// ziggurat samplers, or version 2, the machine-blob layout before the
+// shared machine runtime — must fail to resume with an error naming the
+// version, never continue silently onto this build's streams or layout.
 func TestResumeRejectsOldEpochCheckpoint(t *testing.T) {
-	dir := t.TempDir()
+	for _, old := range []uint32{1, 2} {
+		dir := t.TempDir()
+		cfg := testConfig(t, 3)
+		cfg.CheckpointDir = dir
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runTicks(t, d, 2)
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+
+		// Stamp every blob with the old version. The header's version
+		// field sits outside the payload checksum, so only the version
+		// check can object.
+		blobs, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+		if err != nil || len(blobs) < 2 {
+			t.Fatalf("checkpoint blobs: %v, %v", blobs, err)
+		}
+		for _, path := range blobs {
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(blob[4:8], old)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		cfg.Resume = true
+		_, err = New(cfg)
+		if err == nil || !strings.Contains(err.Error(), "resume") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("version %d, want %d", old, snapshot.Version)) {
+			t.Fatalf("resuming a version-%d checkpoint: err = %v, want a version rejection", old, err)
+		}
+	}
+}
+
+// TestResumeRejectsTornCheckpoint: machine blobs are written before the
+// manifest, so a crash part-way through a later checkpoint leaves the
+// previous manifest beside a mix of older and newer machine blobs. Each
+// blob carries its checkpoint's tick, and a resume over such a mix must
+// fail naming both ticks instead of silently splicing two generations.
+func TestResumeRejectsTornCheckpoint(t *testing.T) {
+	first, second := t.TempDir(), t.TempDir()
 	cfg := testConfig(t, 3)
-	cfg.CheckpointDir = dir
+	cfg.CheckpointDir = first
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	runTicks(t, d, 2)
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-
-	// Stamp every blob as version 1. The header's version field sits
-	// outside the payload checksum, so only the version check can object.
-	blobs, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(blobs) < 2 {
-		t.Fatalf("checkpoint blobs: %v, %v", blobs, err)
+	runTicks(t, d, 2)
+	d.cfg.CheckpointDir = second
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range blobs {
-		blob, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(blob[4:8], 1)
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
+
+	// The interrupted second checkpoint got as far as machine 1's blob.
+	blob, err := os.ReadFile(filepath.Join(second, "m0001.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(first, "m0001.ckpt"), blob, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	cfg.Resume = true
 	_, err = New(cfg)
-	if err == nil || !strings.Contains(err.Error(), "resume") ||
-		!strings.Contains(err.Error(), fmt.Sprintf("version 1, want %d", snapshot.Version)) {
-		t.Fatalf("resuming a version-1 checkpoint: err = %v, want a version rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "resume machine") ||
+		!strings.Contains(err.Error(), "tick 4") || !strings.Contains(err.Error(), "tick 2") {
+		t.Fatalf("resuming a torn checkpoint: err = %v, want a tick-stamp rejection", err)
 	}
 }
 

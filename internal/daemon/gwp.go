@@ -42,25 +42,25 @@ func (d *Daemon) collectWindow() error {
 	caps := make([]gwp.Capture, 0, len(ords))
 	for _, ord := range ords {
 		ms := d.machines[ord]
-		st := ms.lastStats
+		desc, st := ms.rt.Desc, ms.lastStats
 		var perOp float64
 		if ms.tickOps > 0 {
 			perOp = ms.tickMallocNs / float64(ms.tickOps)
 		}
 		caps = append(caps, gwp.Capture{
 			Record: gwp.MachineRecord{
-				MachineID: ms.m.ID, Ord: ord, Seed: ms.m.Seed,
-				App: ms.m.App.Name, Platform: ms.m.Platform.Name,
+				MachineID: desc.ID, Ord: ord, Seed: desc.Seed,
+				App: desc.App.Name, Platform: desc.Platform.Name,
 				TickOps: ms.tickOps, MallocNsPerOp: perOp,
 				HeapBytes:          st.HeapBytes,
 				LiveRequestedBytes: st.LiveRequestedBytes,
 				LiveRoundedBytes:   st.LiveRoundedBytes,
 				FragRatioPPM:       st.FragmentationRatio() * 1e6,
 				HugepagePPM:        st.HugepageCoverage * 1e6,
-				Restarts:           ms.restarts,
+				Restarts:           ms.rt.Counters().Restarts,
 			},
-			Frag:     ms.alloc.FragZ(),
-			Profiles: ms.alloc.HeapProfiles(""),
+			Frag:     ms.rt.Alloc().FragZ(),
+			Profiles: ms.rt.Alloc().HeapProfiles(""),
 		})
 	}
 	win := gwp.BuildWindow(gwp.WindowMeta{

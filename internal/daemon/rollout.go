@@ -252,12 +252,11 @@ func (d *Daemon) beginRollout(design string) {
 
 // applyMachineDesign live-swaps one machine and pins the design so cold
 // restarts (churn, OOM, bursts) come back up under it.
-func (d *Daemon) applyMachineDesign(ms *machine, design string) {
-	if err := ms.alloc.ApplyDesign(design); err != nil {
+func (d *Daemon) applyMachineDesign(ms *member, design string) {
+	if err := ms.rt.Pin(design); err != nil {
 		// Designs are validated before they reach the tick loop.
-		panic(fmt.Sprintf("daemon: apply design %q to machine %d: %v", design, ms.m.ID, err))
+		panic(fmt.Sprintf("daemon: apply design %q to machine %d: %v", design, ms.rt.Desc.ID, err))
 	}
-	ms.design = design
 }
 
 // stageLabel renders the current stage for alerts and /statusz, e.g.
@@ -286,13 +285,9 @@ func (d *Daemon) groupRates(ro *rollout) (cand, ctrl profdiff.Metrics) {
 
 // machineRates flattens one machine's carry+live registries down to the
 // watchdog's watched rate counters.
-func (d *Daemon) machineRates(ms *machine) profdiff.Metrics {
+func (d *Daemon) machineRates(ms *member) profdiff.Metrics {
 	reg := telemetry.NewRegistry()
-	reg.Merge(ms.carry)
-	if tel := ms.alloc.Telemetry(); tel != nil {
-		tel.FlushGauges()
-		reg.Merge(tel.Registry())
-	}
+	ms.rt.FoldTelemetry(reg)
 	flat := profdiff.FlattenSnapshots(reg.Snapshot("", d.virtualNs))
 	out := profdiff.Metrics{}
 	for _, name := range d.cfg.Watchdog.Rates {

@@ -169,8 +169,8 @@ func TestRolloutPromotion(t *testing.T) {
 		t.Fatalf("active design = %q, want %q", st.ActiveDesign, candidate)
 	}
 	for _, ms := range d.machines {
-		if ms.design != candidate {
-			t.Fatalf("machine %d not pinned to the promoted design: %q", ms.m.ID, ms.design)
+		if ms.rt.Design() != candidate {
+			t.Fatalf("machine %d not pinned to the promoted design: %q", ms.rt.Desc.ID, ms.rt.Design())
 		}
 	}
 
@@ -220,7 +220,7 @@ func TestRolloutRollbackRestoresPrior(t *testing.T) {
 		t.Fatalf("active design after rollback = %q, want baseline", st.ActiveDesign)
 	}
 	for _, ord := range canary {
-		if got := d.machines[ord].design; got != "baseline" {
+		if got := d.machines[ord].rt.Design(); got != "baseline" {
 			t.Fatalf("canary machine %d left on %q after rollback", ord, got)
 		}
 	}

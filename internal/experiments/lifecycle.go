@@ -3,6 +3,7 @@ package experiments
 import (
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
@@ -42,25 +43,23 @@ func Lifecycle(seed uint64, scale Scale) Report {
 	// and its warm-run mapped peak, so the machine preloads fine and is
 	// OOM-killed mid-run once the heap grows past the budget.
 	cfg.Faults = mem.FaultPlan{MappedBytesBudget: 1100 << 20}
-	p := workload.Fleet()
 	dur := scale.duration(60 * workload.Millisecond)
 	windowNs := dur / 24
 
-	alloc := core.New(cfg, topology.New(topology.Default()))
 	opts := workload.DefaultOptions(seed)
 	opts.Duration = dur
 	opts.HaltOnAllocFailure = true
 
 	var (
+		rt        *machine.Runtime
 		windows   []lifecycleWindow
-		restarts  int
 		killNs    int64 = -1
 		lastMiss  int64
 		lastAlloc int64
 	)
 	justRestarted := false
 	opts.Snapshot = func(now int64) {
-		st := alloc.Stats()
+		st := rt.Alloc().Stats()
 		misses, allocs := st.FrontEnd.AllocMisses, st.Mallocs
 		dm, da := misses-lastMiss, allocs-lastAlloc
 		lastMiss, lastAlloc = misses, allocs
@@ -71,37 +70,32 @@ func Lifecycle(seed uint64, scale Scale) Report {
 			endNs:      now,
 			missRate:   float64(dm) / float64(da),
 			fragRatio:  st.FragmentationRatio(),
-			epoch:      restarts,
+			epoch:      int(rt.Counters().Restarts),
 			firstAfter: justRestarted,
 		})
 		justRestarted = false
 	}
 	opts.SnapshotEveryNs = windowNs
 
-	d := workload.NewDriver(p, alloc, opts)
-	const maxRestarts = 24
-	var res workload.Result
-	for {
-		res = d.Run()
-		if !d.Halted() || d.HaltReason() != workload.HaltAllocFailure {
-			break
-		}
-		if restarts++; restarts > maxRestarts {
-			rep.Failed = true
-			rep.addf("FAIL: machine still OOM-looping after %d restarts", maxRestarts)
-			return rep
-		}
+	// Every OOM kill restarts the machine in place: heap and caches gone,
+	// same workload cursor, counters back to zero with the allocator.
+	rt = machine.New(machine.Desc{Platform: topology.Default(), App: workload.Fleet(), Seed: seed}, cfg, opts)
+	rt.OnRestart = func(_ machine.Kill, now int64) {
 		if killNs < 0 {
-			killNs = d.Now()
+			killNs = now
 		}
-		// Restart in place: fresh allocator (heap and caches gone), same
-		// workload cursor. The restarted process preloads its resident
-		// set again, cold. Counters restart from zero with the allocator.
-		alloc = core.New(cfg, topology.New(topology.Default()))
 		lastMiss, lastAlloc = 0, 0
 		justRestarted = true
-		d.Restart(alloc)
 	}
+	const maxRestarts = 24
+	res, capped := rt.RunUntil(0, maxRestarts)
+	if capped {
+		rep.Failed = true
+		rep.addf("FAIL: machine still OOM-looping after %d restarts", maxRestarts)
+		return rep
+	}
+	restarts := int(rt.Counters().Restarts)
+	d := rt.Driver()
 
 	// The budget trips early in the run (mapped bytes are front-loaded by
 	// the preload and initial cache fill), so warm steady state is the

@@ -16,6 +16,7 @@ import (
 
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/heapprof"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/rng"
@@ -86,13 +87,9 @@ func (c BinaryCatalog) CDF(weights []float64, k int) []float64 {
 	return out
 }
 
-// Machine is one server in the fleet.
-type Machine struct {
-	ID       int
-	Platform topology.Platform
-	App      workload.Profile
-	Seed     uint64
-}
+// Machine is one server in the fleet: the descriptor the machine
+// runtime simulates.
+type Machine = machine.Desc
 
 // Fleet is the machine population.
 type Fleet struct {
@@ -166,19 +163,16 @@ func RunMachine(m Machine, cfg core.Config, duration int64) RunMetrics {
 	return RunMachineOpts(m, cfg, opts)
 }
 
-// RunMachineOpts executes one machine run with explicit workload options.
-// Time-averaged telemetry comes from periodic snapshots: end-of-run
+// RunMachineOpts executes one machine run with explicit workload options:
+// the zero-LifecycleOptions case of RunMachineLifecycle, which cannot
+// fail. Time-averaged telemetry comes from periodic snapshots: end-of-run
 // snapshots are dominated by wherever the diurnal phase happens to stop.
 func RunMachineOpts(m Machine, cfg core.Config, opts workload.Options) RunMetrics {
-	topo := topology.New(m.Platform)
-	alloc := core.New(cfg, topo)
-
-	var ac runAccum
-	opts.SnapshotEveryNs = opts.Duration / 50
-	opts.Snapshot = func(now int64) { ac.observe(alloc) }
-
-	res := workload.Run(m.App, alloc, opts)
-	return finishRunMetrics(m, alloc, res, &ac)
+	rm, _, _, err := RunMachineLifecycle(m, cfg, opts, LifecycleOptions{})
+	if err != nil {
+		panic(err)
+	}
+	return rm
 }
 
 // Row is one table row of an A/B experiment, matching the columns of the
@@ -385,53 +379,53 @@ func DefaultABOptions() ABOptions {
 	}
 }
 
-// runMachineOpts and runMachineLifecycle are the machine-run entry
-// points used by A/B experiments. They are variables so tests can swap
-// in a failing machine and assert the engine propagates the failure
-// with the machine's seed attached.
-var (
-	runMachineOpts      = RunMachineOpts
-	runMachineLifecycle = RunMachineLifecycle
-)
+// runMachine is the machine-run entry point A/B experiments use; tests
+// swap it to count runs or inject failing machines.
+var runMachine = RunMachineLifecycle
 
-// replayPairs lets the experiment arm of a legacy-path pair replay the
-// control arm's recorded stream instead of generating it again (see
-// runArms). Tests clear it to force both arms live — the reference the
-// tape path must reproduce exactly.
+// replayPairs lets the experiment arm of a pair replay the control
+// arm's recorded stream instead of generating it again (see runArms).
+// Tests clear it to force both arms live — the reference the tape path
+// must reproduce exactly.
 var replayPairs = true
 
-// runArms runs a pair's two arms on the legacy path. The stream a run
-// draws depends only on the machine and the workload options as long as
-// no malloc is refused, so the control arm records it and the
-// experiment arm replays it, skipping generation. When the control arm
-// saw refused mallocs the tape is not replayable and the experiment arm
-// generates live; when a refusal stops the replay, the experiment arm
-// reruns live from scratch. Chaos runs (faults on both arms) always
-// generate live. The tape is borrowed from tapes for the pair.
-func runArms(m Machine, cfgC, cfgE core.Config, woptsC, woptsE workload.Options, opts ABOptions, tapes chan *workload.Tape) (c, e RunMetrics) {
-	if !replayPairs || opts.Chaos.Enabled() {
-		return runMachineOpts(m, cfgC, woptsC), runMachineOpts(m, cfgE, woptsE)
-	}
-	tape := <-tapes
-	defer func() { tapes <- tape }()
-	woptsC.Record = tape
-	c = runMachineOpts(m, cfgC, woptsC)
-	if tape.Replayable() {
-		replay := woptsE
-		replay.Replay = tape
-		if e = runMachineOpts(m, cfgE, replay); !tape.Stopped() {
-			return c, e
+// runArms runs a pair's two arms, one runMachine call each, recording
+// their lifecycle counts and halts in out. A run's stream depends only
+// on the machine and the workload options while no malloc is refused,
+// so the control arm records it and the experiment arm replays it. An
+// unreplayable tape (the control saw refusals) or a stopped replay
+// sends the experiment arm live. Chaos runs (faults on both arms) and
+// lifecycle runs (taped drivers cannot restart, halt or checkpoint)
+// always generate live. The tape is borrowed from tapes for the pair.
+func runArms(out *machineOutcome, m Machine, cfgC, cfgE core.Config, woptsC, woptsE workload.Options,
+	lcC, lcE LifecycleOptions, opts ABOptions, tapes chan *workload.Tape) (c, e RunMetrics, err error) {
+	run := func(cfg core.Config, wopts workload.Options, lc LifecycleOptions) RunMetrics {
+		if err != nil {
+			return RunMetrics{}
 		}
+		rm, ls, halted, rerr := runMachine(m, cfg, wopts, lc)
+		out.chaos.Lifecycle.Add(ls)
+		out.halted = out.halted || halted
+		err = rerr
+		return rm
 	}
-	return c, runMachineOpts(m, cfgE, woptsE)
-}
-
-// lifecycleEnabled reports whether the experiment needs the
-// checkpoint/lifecycle machine-run path. When false, runs go through
-// the legacy path — which the lifecycle path reproduces bit-identically
-// when no kill or churn fires, so the two never disagree on results.
-func lifecycleEnabled(opts ABOptions) bool {
-	return opts.Checkpoint.enabled() || opts.Churn > 0 || opts.RestartOnOOM
+	if replayPairs && !opts.Chaos.Enabled() && !lcC.Enabled() {
+		tape := <-tapes
+		defer func() { tapes <- tape }()
+		woptsC.Record = tape
+		c = run(cfgC, woptsC, lcC)
+		if tape.Replayable() {
+			replay := woptsE
+			replay.Replay = tape
+			if e = run(cfgE, replay, lcE); !tape.Stopped() {
+				return c, e, err
+			}
+		}
+	} else {
+		c = run(cfgC, woptsC, lcC)
+	}
+	e = run(cfgE, woptsE, lcE)
+	return c, e, err
 }
 
 // sampleIndices picks the enrolled machines for an experiment: n
@@ -443,19 +437,17 @@ func lifecycleEnabled(opts ABOptions) bool {
 // on a wraparound that would re-run machines if the clamps were ever
 // loosened). An empty fleet enrols nothing instead of dividing by zero.
 func sampleIndices(total int, opts ABOptions) []int {
-	if total == 0 {
-		return nil
-	}
-	n := int(float64(total) * opts.SampleFraction)
-	if n < opts.MinMachines {
-		n = opts.MinMachines
-	}
-	if n > total {
-		n = total
-	}
+	n := min(max(int(float64(total)*opts.SampleFraction), opts.MinMachines), total)
 	if n <= 0 {
 		return nil
 	}
+	return StrideIndices(total, n)
+}
+
+// StrideIndices returns n indices strided evenly over [0, total), for
+// 0 < n <= total: i*(total/n), strictly increasing. Fleet enrolment, the
+// daemon's enrolment and its fault bursts all sample machines this way.
+func StrideIndices(total, n int) []int {
 	stride := total / n
 	idx := make([]int, n)
 	for i := range idx {
@@ -538,31 +530,11 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 		cfgC.HeapProfile, cfgE.HeapProfile = hcfg, hcfg
 	}
 	var out machineOutcome
-	var c, e RunMetrics
-	if lifecycleEnabled(opts) {
-		var lsC, lsE LifecycleStats
-		var halted bool
-		var err error
-		c, lsC, halted, err = runMachineLifecycle(m, cfgC, wopts, lifecycleFor(opts, "control", opts.ControlDesign, attempt))
-		if err != nil {
-			return out, err
-		}
-		out.halted = halted
-		e, lsE, halted, err = runMachineLifecycle(m, cfgE, woptsE, lifecycleFor(opts, "experiment", opts.ExperimentDesign, attempt))
-		if err != nil {
-			return out, err
-		}
-		out.halted = out.halted || halted
-		out.chaos.Lifecycle.ChurnKills = lsC.ChurnKills + lsE.ChurnKills
-		out.chaos.Lifecycle.OOMKills = lsC.OOMKills + lsE.OOMKills
-		out.chaos.Lifecycle.Restarts = lsC.Restarts + lsE.Restarts
-		if out.halted {
-			// No metrics exist for a half-finished run; the resume pass
-			// produces them.
-			return out, nil
-		}
-	} else {
-		c, e = runArms(m, cfgC, cfgE, wopts, woptsE, opts, tapes)
+	c, e, err := runArms(&out, m, cfgC, cfgE, wopts, woptsE,
+		lifecycleFor(opts, "control", opts.ControlDesign, attempt),
+		lifecycleFor(opts, "experiment", opts.ExperimentDesign, attempt), opts, tapes)
+	if err != nil || out.halted {
+		return out, err // a halted run has no metrics until the resume pass
 	}
 	out.telC, out.telE = c.Telemetry, e.Telemetry
 	out.hpC, out.hpE = c.HeapProfiles, e.HeapProfiles
@@ -683,9 +655,7 @@ func mergeOutcomes(outcomes []machineOutcome, opts ABOptions) ABResult {
 		chaos.PressureReleasedBytes += o.chaos.PressureReleasedBytes
 		chaos.Audits += o.chaos.Audits
 		chaos.Violations += o.chaos.Violations
-		chaos.Lifecycle.ChurnKills += o.chaos.Lifecycle.ChurnKills
-		chaos.Lifecycle.OOMKills += o.chaos.Lifecycle.OOMKills
-		chaos.Lifecycle.Restarts += o.chaos.Lifecycle.Restarts
+		chaos.Lifecycle.Add(o.chaos.Lifecycle)
 	}
 
 	aggregate := func(ps []pair, name string) Row {

@@ -7,9 +7,10 @@ import (
 	"path/filepath"
 
 	"wsmalloc/internal/core"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/snapshot"
-	"wsmalloc/internal/topology"
+	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/workload"
 )
 
@@ -69,24 +70,17 @@ type LifecycleOptions struct {
 // and looping forever would hide it.
 const DefaultMaxRestarts = 16
 
-func (lc LifecycleOptions) enabled() bool {
+// Enabled reports whether the run checkpoints, churns or restarts on
+// OOM — anything beyond a plain machine run.
+func (lc LifecycleOptions) Enabled() bool {
 	return lc.Checkpoint.enabled() || lc.Churn > 0 || lc.RestartOnOOM
 }
 
-func (lc LifecycleOptions) maxRestarts() int {
-	if lc.MaxRestarts > 0 {
-		return lc.MaxRestarts
-	}
-	return DefaultMaxRestarts
-}
-
-// LifecycleStats count machine-lifecycle events over one or more runs.
-type LifecycleStats struct {
-	// ChurnKills and OOMKills are scheduled-churn and budget-triggered
-	// kills; Restarts counts the cold restarts that followed (every
-	// kill restarts unless the run was out of restart budget).
-	ChurnKills, OOMKills, Restarts int64
-}
+// LifecycleStats count machine-lifecycle events over one or more runs:
+// scheduled-churn and budget-triggered (OOM) kills, and the cold
+// restarts that followed (every kill restarts unless the run was out of
+// restart budget). Fleet runs have no fault bursts.
+type LifecycleStats = machine.Counters
 
 // ErrHalted marks a run that stopped at a scheduled kill after writing
 // its checkpoint — the expected outcome of a KillAtFrac run, resumable
@@ -132,11 +126,6 @@ func (ac *runAccum) observe(a *core.Allocator) {
 	ac.snaps++
 }
 
-// checkpointPath is the per-machine-per-arm blob location.
-func checkpointPath(dir string, m Machine, arm string) string {
-	return filepath.Join(dir, fmt.Sprintf("m%04d-%s.ckpt", m.ID, arm))
-}
-
 // fingerprint is the stable identity of one machine-arm run. A resume
 // whose fingerprint disagrees with the blob's is rejected: the blob
 // belongs to a different machine, arm, duration, design, or fault
@@ -148,53 +137,42 @@ func runFingerprint(m Machine, cfg core.Config, duration int64, lc LifecycleOpti
 		lc.Churn, lc.ChurnSeed)
 }
 
-// machineCheckpoint bundles everything a machine-arm run needs to
-// resume: the identity fingerprint, the time-averaging accumulators,
-// the lifecycle progress, the full allocator state, and the workload
-// driver position.
-func encodeMachineCheckpoint(fp string, ac *runAccum, pendingChurn int64,
-	ls LifecycleStats, a *core.Allocator, d *workload.Driver) []byte {
+// runState is the fleet policy state a blob carries beside the
+// runtime's: run identity, time averages, the pending churn kill.
+type runState struct {
+	fp           string
+	ac           runAccum
+	pendingChurn int64
+}
+
+func (s *runState) encode(rt *machine.Runtime) []byte {
 	var e snapshot.Encoder
 	e.Section("fleet.machine")
-	e.String(fp)
-	e.I64(ac.heapSum)
-	e.I64(ac.cacheSum)
-	e.I64(ac.snaps)
-	e.F64(ac.covSum)
-	e.I64(pendingChurn)
-	e.I64(ls.ChurnKills)
-	e.I64(ls.OOMKills)
-	e.I64(ls.Restarts)
-	a.EncodeState(&e)
-	d.EncodeState(&e)
+	e.String(s.fp)
+	e.I64(s.ac.heapSum)
+	e.I64(s.ac.cacheSum)
+	e.I64(s.ac.snaps)
+	e.F64(s.ac.covSum)
+	e.I64(s.pendingChurn)
+	rt.EncodeState(&e)
 	return e.Finish()
 }
 
-func decodeMachineCheckpoint(blob []byte, fp string, ac *runAccum, pendingChurn *int64,
-	ls *LifecycleStats, a *core.Allocator, d *workload.Driver) error {
+func (s *runState) decode(blob []byte, rt *machine.Runtime) error {
 	dec, err := snapshot.NewDecoder(blob)
 	if err != nil {
 		return err
 	}
 	dec.Section("fleet.machine")
-	if got := dec.String(); dec.Err() == nil && got != fp {
-		return fmt.Errorf("checkpoint belongs to a different run:\n  blob: %s\n  want: %s", got, fp)
+	if got := dec.String(); dec.Err() == nil && got != s.fp {
+		return fmt.Errorf("checkpoint belongs to a different run:\n  blob: %s\n  want: %s", got, s.fp)
 	}
-	ac.heapSum = dec.I64()
-	ac.cacheSum = dec.I64()
-	ac.snaps = dec.I64()
-	ac.covSum = dec.F64()
-	*pendingChurn = dec.I64()
-	ls.ChurnKills = dec.I64()
-	ls.OOMKills = dec.I64()
-	ls.Restarts = dec.I64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if err := a.DecodeState(dec); err != nil {
-		return err
-	}
-	return d.DecodeState(dec)
+	s.ac.heapSum = dec.I64()
+	s.ac.cacheSum = dec.I64()
+	s.ac.snaps = dec.I64()
+	s.ac.covSum = dec.F64()
+	s.pendingChurn = dec.I64()
+	return rt.DecodeState(dec)
 }
 
 // churnSchedule decides, from seeds alone, whether and when this
@@ -208,19 +186,18 @@ func churnSchedule(m Machine, duration int64, lc LifecycleOptions) int64 {
 	if !cr.Bool(lc.Churn) {
 		return 0
 	}
-	at := 1 + int64(cr.Float64()*float64(duration-1))
-	return at
+	return 1 + int64(cr.Float64()*float64(duration-1))
 }
 
-// RunMachineLifecycle executes one machine run with checkpointing and
-// machine-lifecycle modeling. It returns halted=true (with no error)
-// when a KillAtFrac kill stopped the run after checkpointing; the same
-// call with Checkpoint.Resume set picks the run back up and finishes
-// it bit-identically to a run that was never killed.
+// RunMachineLifecycle executes one machine run on the machine runtime
+// under the fleet's policy: one seeded churn kill, an optional
+// KillAtFrac halt, and a restart budget for the whole run. It returns
+// halted=true (with no error) when a KillAtFrac kill stopped the run
+// after checkpointing; the same call with Checkpoint.Resume set finishes
+// it bit-identically to a run that was never killed. With zero
+// LifecycleOptions it is a plain machine run (RunMachineOpts).
 func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 	lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
-	topo := topology.New(m.Platform)
-	alloc := core.New(cfg, topo)
 	duration := opts.Duration
 	fail := func(at int64, err error) (RunMetrics, LifecycleStats, bool, error) {
 		return RunMetrics{}, LifecycleStats{}, false, &MachineError{
@@ -228,117 +205,93 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 		}
 	}
 
-	var ac runAccum
-	var ls LifecycleStats
+	var rt *machine.Runtime // callbacks reach the allocator through rt, which follows restarts
+	st := runState{pendingChurn: churnSchedule(m, duration, lc)}
 	opts.SnapshotEveryNs = duration / 50
-	opts.Snapshot = func(now int64) { ac.observe(alloc) }
-	if lc.RestartOnOOM {
-		opts.HaltOnAllocFailure = true
-	}
-
-	pendingChurn := churnSchedule(m, duration, lc)
+	opts.Snapshot = func(int64) { st.ac.observe(rt.Alloc()) }
+	opts.HaltOnAllocFailure = opts.HaltOnAllocFailure || lc.RestartOnOOM
 	killAt := int64(0)
 	if f := lc.Checkpoint.KillAtFrac; f > 0 && f < 1 {
 		killAt = int64(f * float64(duration))
 	}
 
-	// The checkpoint callback captures alloc and d through these
-	// variables, which restarts reassign.
-	var d *workload.Driver
-	fp := runFingerprint(m, cfg, duration, lc)
 	ckptPath := ""
 	var ckptErr error
 	if lc.Checkpoint.enabled() {
-		ckptPath = checkpointPath(lc.Checkpoint.Dir, m, lc.Arm)
+		st.fp = runFingerprint(m, cfg, duration, lc)
+		ckptPath = filepath.Join(lc.Checkpoint.Dir, fmt.Sprintf("m%04d-%s.ckpt", m.ID, lc.Arm))
 		opts.CheckpointEveryNs = lc.Checkpoint.EveryNs
-		opts.Checkpoint = func(now int64) {
-			if ckptErr != nil {
-				return
-			}
-			blob := encodeMachineCheckpoint(fp, &ac, pendingChurn, ls, alloc, d)
-			if err := snapshot.WriteFileAtomic(ckptPath, blob); err != nil {
-				ckptErr = err
+		opts.Checkpoint = func(int64) {
+			if ckptErr == nil {
+				ckptErr = snapshot.WriteFileAtomic(ckptPath, st.encode(rt))
 			}
 		}
 	}
-
-	// armHalt points the driver at the earliest pending kill.
-	armHalt := func() {
-		h := pendingChurn
-		if killAt > 0 && (h == 0 || killAt < h) {
-			h = killAt
-		}
-		opts.HaltAtNs = h
-	}
-	armHalt()
-	d = workload.NewDriver(m.App, alloc, opts)
+	rt = machine.New(m, cfg, opts)
 
 	if lc.Checkpoint.enabled() && lc.Checkpoint.Resume {
 		if blob, err := os.ReadFile(ckptPath); err == nil {
-			if err := decodeMachineCheckpoint(blob, fp, &ac, &pendingChurn, &ls, alloc, d); err != nil {
+			if err := st.decode(blob, rt); err != nil {
 				return fail(-1, fmt.Errorf("restoring checkpoint %s: %w", ckptPath, err))
 			}
-			armHaltDriver(d, pendingChurn, killAt)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			return fail(-1, fmt.Errorf("reading checkpoint %s: %w", ckptPath, err))
 		}
 	}
 
-	res := d.Run()
-	for d.Halted() {
+	budget := int64(lc.MaxRestarts)
+	if budget <= 0 {
+		budget = DefaultMaxRestarts
+	}
+	unhealthy := func(c LifecycleStats) (RunMetrics, LifecycleStats, bool, error) {
+		return fail(rt.Driver().Now(), fmt.Errorf("machine unhealthy: %d restarts (churn=%d, oom=%d) exhausted the restart budget",
+			c.Restarts, c.ChurnKills, c.OOMKills))
+	}
+	var res workload.Result
+	for {
+		// Halt at the earliest pending kill.
+		until := st.pendingChurn
+		if killAt > 0 && (until == 0 || killAt < until) {
+			until = killAt
+		}
+		var capped bool
+		res, capped = rt.RunUntil(until, int(budget-rt.Counters().Restarts))
 		if ckptErr != nil {
-			return fail(d.Now(), fmt.Errorf("writing checkpoint %s: %w", ckptPath, ckptErr))
+			return fail(rt.Driver().Now(), fmt.Errorf("writing checkpoint %s: %w", ckptPath, ckptErr))
 		}
-		switch d.HaltReason() {
-		case workload.HaltTimer:
-			if pendingChurn > 0 && d.Now() >= pendingChurn {
-				// Scheduled churn: the machine dies and is repaired.
-				ls.ChurnKills++
-				pendingChurn = 0
-			} else {
-				// KillAtFrac: the whole run stops here, checkpointed.
-				return RunMetrics{}, ls, true, nil
-			}
-		case workload.HaltAllocFailure:
-			ls.OOMKills++
-		default:
-			return fail(d.Now(), fmt.Errorf("halted run with no halt reason"))
+		c := rt.Counters()
+		if capped {
+			c.OOMKills++
+			return unhealthy(c)
 		}
-		if ls.Restarts >= int64(lc.maxRestarts()) {
-			return fail(d.Now(), fmt.Errorf("machine unhealthy: %d restarts (churn=%d, oom=%d) exhausted the restart budget",
-				ls.Restarts, ls.ChurnKills, ls.OOMKills))
+		if d := rt.Driver(); !d.Halted() || d.HaltReason() != workload.HaltTimer {
+			break
 		}
-		ls.Restarts++
-		alloc = core.New(cfg, topo)
-		d.Restart(alloc)
-		armHaltDriver(d, pendingChurn, killAt)
-		res = d.Run()
+		if st.pendingChurn == 0 || rt.Driver().Now() < st.pendingChurn {
+			// KillAtFrac: the whole run stops here, checkpointed.
+			return RunMetrics{}, c, true, nil
+		}
+		// Scheduled churn: the machine dies and is repaired.
+		if c.Restarts >= budget {
+			c.ChurnKills++
+			return unhealthy(c)
+		}
+		st.pendingChurn = 0
+		rt.RestartCold(machine.Churn)
 	}
-	if ckptErr != nil {
-		return fail(d.Now(), fmt.Errorf("writing checkpoint %s: %w", ckptPath, ckptErr))
-	}
-
-	rm := finishRunMetrics(m, alloc, res, &ac)
-	return rm, ls, false, nil
+	return finishRunMetrics(m, rt, res, &st.ac), rt.Counters(), false, nil
 }
 
-// armHaltDriver mirrors armHalt for an already-built driver.
-func armHaltDriver(d *workload.Driver, pendingChurn, killAt int64) {
-	h := pendingChurn
-	if killAt > 0 && (h == 0 || killAt < h) {
-		h = killAt
-	}
-	d.SetHaltAt(h)
-}
-
-// finishRunMetrics derives the RunMetrics summary from a completed run,
-// shared by the legacy and lifecycle paths so both report identically.
-func finishRunMetrics(m Machine, alloc *core.Allocator, res workload.Result, ac *runAccum) RunMetrics {
+// finishRunMetrics derives the RunMetrics summary from a completed run.
+func finishRunMetrics(m Machine, rt *machine.Runtime, res workload.Result, ac *runAccum) RunMetrics {
 	st := res.Stats
+	alloc := rt.Alloc()
 	rm := RunMetrics{App: m.App.Name, Result: res}
-	if tel := alloc.Telemetry(); tel != nil {
-		tel.FlushGauges()
-		rm.Telemetry = tel.Registry()
+	if alloc.Telemetry() != nil {
+		// The fold carries the counters of every process that died on the
+		// machine, so a restart never rewinds them.
+		rm.Telemetry = telemetry.NewRegistry()
+		rt.FoldTelemetry(rm.Telemetry)
 	}
 	rm.HeapProfiles = alloc.HeapProfiles("")
 	rm.Frag = alloc.FragZ()

@@ -246,12 +246,12 @@ func TestCheckpointCorruptionRejected(t *testing.T) {
 // run that fails transiently is re-driven — and the retry resumes from
 // the machine's checkpoint (attempt > 0 forces Resume).
 func TestFleetRetryResumesFromCheckpoint(t *testing.T) {
-	orig := runMachineLifecycle
-	defer func() { runMachineLifecycle = orig }()
+	orig := runMachine
+	defer func() { runMachine = orig }()
 
 	fails := map[string]bool{}
 	sawResume := false
-	runMachineLifecycle = func(m Machine, cfg core.Config, opts workload.Options,
+	runMachine = func(m Machine, cfg core.Config, opts workload.Options,
 		lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
 		key := fmt.Sprintf("m%d-%s", m.ID, lc.Arm)
 		if m.ID == 0 && lc.Arm == "control" && !fails[key] {
@@ -277,5 +277,54 @@ func TestFleetRetryResumesFromCheckpoint(t *testing.T) {
 	}
 	if !sawResume {
 		t.Fatal("retry attempt did not request checkpoint resume")
+	}
+}
+
+// TestChurnTelemetryCarriesDeadProcesses: a churn-killed machine's
+// telemetry must keep the counters of the process that died, as the
+// daemon's carry registry does. The cumulative malloc count — the
+// alloc_size_bytes histogram, which every malloc feeds — must cover
+// every allocation the driver made across both processes, and the cold
+// restart must add per-CPU misses rather than rewind them. (The mallocs
+// gauge, like every gauge, describes the live process only.)
+func TestChurnTelemetryCarriesDeadProcesses(t *testing.T) {
+	m := New(32, 0x5eed).Machines[0]
+	cfg := core.BaselineConfig()
+	cfg.Telemetry = telemetry.Config{Enabled: true}
+	opts := workload.DefaultOptions(m.Seed)
+	opts.Duration = 20 * workload.Millisecond
+
+	run := func(churn float64) (RunMetrics, telemetry.Snapshot) {
+		rm, ls, halted, err := RunMachineLifecycle(m, cfg, opts, LifecycleOptions{Churn: churn, ChurnSeed: 1})
+		if err != nil || halted {
+			t.Fatalf("churn=%g: halted=%v err=%v", churn, halted, err)
+		}
+		if want := int64(churn); ls.ChurnKills != want || ls.Restarts != want {
+			t.Fatalf("churn=%g: lifecycle %+v, want %d kill and restart", churn, ls, want)
+		}
+		return rm, rm.Telemetry.Snapshot("", opts.Duration)
+	}
+	counter := func(s telemetry.Snapshot, name string) int64 {
+		for _, c := range s.Counters {
+			if c.Name == name {
+				return c.Value
+			}
+		}
+		t.Fatalf("no counter %s", name)
+		return 0
+	}
+	churned, snap := run(1)
+	var mallocs float64
+	for _, h := range snap.Histograms {
+		if h.Name == "alloc_size_bytes" {
+			mallocs = h.Total
+		}
+	}
+	if mallocs < float64(churned.Result.Ops) {
+		t.Fatalf("telemetry counts %g mallocs for a run that made %d allocations", mallocs, churned.Result.Ops)
+	}
+	_, steady := run(0)
+	if got, base := counter(snap, "percpu_miss_total"), counter(steady, "percpu_miss_total"); got <= base {
+		t.Fatalf("cold restart should add per-CPU misses: churned %d <= steady %d", got, base)
 	}
 }

@@ -129,12 +129,12 @@ func TestSampleIndicesEdgeCases(t *testing.T) {
 // experiment), never silently re-enrolled.
 func TestABTestOverSampleRunsEachMachineOnce(t *testing.T) {
 	f := New(8, 17)
-	orig := runMachineOpts
-	defer func() { runMachineOpts = orig }()
+	orig := runMachine
+	defer func() { runMachine = orig }()
 	runs := make([]int, len(f.Machines))
-	runMachineOpts = func(m Machine, cfg core.Config, opts workload.Options) RunMetrics {
+	runMachine = func(m Machine, cfg core.Config, opts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
 		runs[m.ID]++ // Workers=1 below: no lock needed
-		return orig(m, cfg, opts)
+		return orig(m, cfg, opts, lc)
 	}
 	opts := DefaultABOptions()
 	opts.SampleFraction = 3.0
@@ -177,13 +177,13 @@ func TestABTestWorkerPanicCarriesSeed(t *testing.T) {
 	idx := sampleIndices(len(f.Machines), opts)
 	bad := f.Machines[idx[len(idx)/2]]
 
-	orig := runMachineOpts
-	defer func() { runMachineOpts = orig }()
-	runMachineOpts = func(m Machine, cfg core.Config, wopts workload.Options) RunMetrics {
+	orig := runMachine
+	defer func() { runMachine = orig }()
+	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
 		if m.Seed == bad.Seed {
 			panic("injected machine fault")
 		}
-		return orig(m, cfg, wopts)
+		return orig(m, cfg, wopts, lc)
 	}
 
 	_, err := f.ABTestErr(core.BaselineConfig(), core.OptimizedConfig(), opts)

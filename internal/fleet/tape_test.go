@@ -182,14 +182,14 @@ func TestReplayRefusalRerunsLive(t *testing.T) {
 	experiment.Faults = mem.FaultPlan{Seed: 3, MmapFailureRate: 0.05}
 
 	var stopped int
-	orig := runMachineOpts
-	defer func() { runMachineOpts = orig }()
-	runMachineOpts = func(m Machine, cfg core.Config, wopts workload.Options) RunMetrics {
-		rm := orig(m, cfg, wopts)
+	orig := runMachine
+	defer func() { runMachine = orig }()
+	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
+		rm, ls, halted, err := orig(m, cfg, wopts, lc)
 		if wopts.Replay != nil && wopts.Replay.Stopped() {
 			stopped++
 		}
-		return rm
+		return rm, ls, halted, err
 	}
 	taped, err := f.ABTestErr(control, experiment, opts)
 	if err != nil {

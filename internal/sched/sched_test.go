@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -177,7 +177,10 @@ func TestDefaultWorkersClampsToGOMAXPROCS(t *testing.T) {
 // task set at -j 1 and -j 4 with GOMAXPROCS pinned to 1 and requires the
 // oversubscribed run to stay within 5% of the sequential one — the
 // regression the DefaultWorkers clamp fixes (without it, -j 4 on one CPU
-// was measurably slower than -j 1).
+// was measurably slower than -j 1). The two run in interleaved pairs,
+// alternating which goes first, and the bound applies to the median
+// per-pair ratio: load that comes and goes on a shared box lands on both
+// sides of a pair instead of on one side's whole block.
 func TestOversubscribedJMatchesSequentialThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -198,22 +201,26 @@ func TestOversubscribedJMatchesSequentialThroughput(t *testing.T) {
 		return nil
 	}
 	measure := func(j int) time.Duration {
-		best := time.Duration(math.MaxInt64)
-		// Best-of-3 absorbs scheduler noise on a loaded box.
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			if err := Map(context.Background(), tasks, j, work); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+		start := time.Now()
+		if err := Map(context.Background(), tasks, j, work); err != nil {
+			t.Fatal(err)
 		}
-		return best
+		return time.Since(start)
 	}
-	seq := measure(1)
-	over := measure(4)
-	if limit := seq + seq/20; over > limit {
-		t.Fatalf("-j 4 on GOMAXPROCS=1 took %v, over 5%% above -j 1's %v", over, seq)
+	const pairs = 7
+	ratios := make([]float64, pairs)
+	for p := range ratios {
+		var seq, over time.Duration
+		if p%2 == 0 {
+			seq, over = measure(1), measure(4)
+		} else {
+			over, seq = measure(4), measure(1)
+		}
+		ratios[p] = float64(over) / float64(seq)
+	}
+	sort.Float64s(ratios)
+	if median := ratios[pairs/2]; median > 1.05 {
+		t.Fatalf("-j 4 on GOMAXPROCS=1 took a median %.3fx of -j 1's time over %d interleaved pairs, "+
+			"over the 5%% bound (sorted ratios %.3f)", median, pairs, ratios)
 	}
 }

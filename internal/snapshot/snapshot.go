@@ -42,8 +42,11 @@ import (
 //
 // Version 2 is the ziggurat sampling epoch: the generator no longer
 // carries a cached normal variate, and every stream differs from
-// version 1's.
-const Version = 2
+// version 1's. Version 3 keeps that epoch's streams and changes the
+// machine blob: one machine-runtime encoding shared by the fleet runner
+// and the daemon, the carry registry in fleet blobs, and the daemon's
+// per-blob checkpoint tick.
+const Version = 3
 
 // magic identifies a snapshot blob.
 var magic = [4]byte{'W', 'S', 'M', 'S'}

@@ -234,17 +234,11 @@ func (r *Registry) Merge(other *Registry) {
 	if other == nil {
 		return
 	}
+	r.MergeCumulative(other)
 	other.mu.RLock()
 	defer other.mu.RUnlock()
-	for name, c := range other.counters {
-		r.Counter(name).Add(c.Value())
-	}
 	for name, g := range other.gauges {
 		r.Gauge(name).Add(g.Value())
-	}
-	for name, h := range other.histograms {
-		minExp, maxExp := h.h.Range()
-		r.Histogram(name, minExp, maxExp).merge(h)
 	}
 }
 

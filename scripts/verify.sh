@@ -14,7 +14,9 @@
 # smoke (three fleet-daemon runs — -j 1, -j 4, and kill/resume across a
 # mid-cycle checkpoint — must write bit-identical profile warehouses,
 # and gwpquery must reproduce identical size-CDF/fragmentation/profdiff
-# output from each), a live-retune smoke (a mid-run design swap on the
+# output from each), a wsmalloc-sim lifecycle smoke (kill/resume
+# byte-identical to an uninterrupted run; a churned run's telemetry
+# counts every malloc), a live-retune smoke (a mid-run design swap on the
 # experiment arm must be byte-identical at -j 1 vs -j 4 and across a
 # kill exactly at the swap tick plus resume), a fleet-daemon smoke
 # (start the control plane, scrape the live pages, inject a fault burst
@@ -134,6 +136,29 @@ for j in 1 4; do
         cmp "$TELDIR/j1.$ext" "$TELDIR/resumed$j.$ext"
     done
 done
+
+echo "==> wsmalloc-sim lifecycle smoke (kill at 50% + resume byte-identical to uninterrupted; churn keeps dead processes' counters)"
+# wsmalloc-sim runs its lifecycle flags as a fleet of one on the machine
+# runtime. A run killed at 50% virtual time must exit 3 and resume to
+# exports byte-identical to an uninterrupted checkpointed run. A churned
+# run's telemetry must count every allocation the run made: the
+# cumulative malloc count (the alloc_size_bytes histogram every malloc
+# feeds) carries the process that died across the cold restart.
+go build -o "$TELDIR/wsmalloc-sim" ./cmd/wsmalloc-sim
+SIMFLAGS="-duration-ms 40 -telemetry -heapprof"
+"$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck-ref" -metrics-out "$TELDIR/sim-ref" > /dev/null
+status=0
+"$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck" -kill-frac 0.5 > /dev/null || status=$?
+[ "$status" -eq 3 ] # the scheduled kill must exit with the resume-me code
+"$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck" -resume -metrics-out "$TELDIR/sim-res" > /dev/null
+for ext in prom json mallocz heapz heapz.json; do
+    cmp "$TELDIR/sim-ref.$ext" "$TELDIR/sim-res.$ext"
+done
+"$TELDIR/wsmalloc-sim" -duration-ms 40 -telemetry -churn 1 -metrics-out "$TELDIR/sim-churn" > "$TELDIR/sim-churn.out"
+grep -q '^lifecycle: 1 churn kills' "$TELDIR/sim-churn.out" # the churn kill must fire
+SIMALLOCS="$(awk '$1 == "ops" {print $2}' "$TELDIR/sim-churn.out")"
+SIMMALLOCS="$(awk '/^wsmalloc_alloc_size_bytes_count/ {print $2}' "$TELDIR/sim-churn.prom")"
+[ "$SIMMALLOCS" -ge "$SIMALLOCS" ] # telemetry must not drop the dead process's mallocs
 
 echo "==> live-retune smoke (mid-run design swap; -j 1 vs -j 4 and kill-at-swap-tick resume byte-identical)"
 # The experiment arm starts baseline and hot-swaps to the optimized

@@ -1,7 +1,7 @@
 package check
 
 import (
-	"sort"
+	"slices"
 
 	"wsmalloc/internal/snapshot"
 )
@@ -42,7 +42,7 @@ func (s *ShadowHeap) EncodeState(e *snapshot.Encoder) {
 	for a := range s.freed {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	e.Len(len(addrs))
 	for _, a := range addrs {
 		rec := s.freed[a]

@@ -230,3 +230,37 @@ func BenchmarkDaemonObserveOverhead(b *testing.B) {
 	}
 	b.ReportMetric(sum/float64(len(kept)), "off/on")
 }
+
+// BenchmarkDaemonCheckpoint measures one full checkpoint — every
+// machine blob and the manifest, encoded and written — of a warmed
+// DefaultConfig daemon (16 enrolled machines, gwp on, one worker). The
+// untimed first checkpoint sizes the reused encoder; SetBytes reports
+// the checkpoint's size, so -benchmem shows allocation per byte written.
+func BenchmarkDaemonCheckpoint(b *testing.B) {
+	cfg := DefaultConfig(1)
+	cfg.Workers = 1
+	cfg.GWP.Enabled = true
+	cfg.GWP.Dir = b.TempDir()
+	cfg.CheckpointDir = b.TempDir()
+	d, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < 16; i++ {
+		if err := d.Tick(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(d.lastCheckpointBytes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"wsmalloc/internal/snapshot"
 )
@@ -57,10 +58,14 @@ func (d *Daemon) Checkpoint() error {
 	if d.cfg.CheckpointDir == "" {
 		return fmt.Errorf("daemon: no checkpoint directory configured")
 	}
+	start := time.Now()
+	var written int64
 	for i, ms := range d.machines {
-		if err := snapshot.WriteFileAtomic(d.machinePath(i), d.encodeMember(ms)); err != nil {
+		blob := d.encodeMember(ms)
+		if err := snapshot.WriteFileAtomic(d.machinePath(i), blob); err != nil {
 			return fmt.Errorf("daemon: checkpoint machine %d: %w", ms.rt.Desc.ID, err)
 		}
+		written += int64(len(blob))
 	}
 	blob, err := d.encodeManifest()
 	if err != nil {
@@ -72,6 +77,8 @@ func (d *Daemon) Checkpoint() error {
 		return fmt.Errorf("daemon: checkpoint manifest: %w", err)
 	}
 	d.lastCheckpointTick = d.tick
+	d.lastCheckpointMs = float64(time.Since(start).Microseconds()) / 1e3
+	d.lastCheckpointBytes = written + int64(len(blob))
 	return nil
 }
 
@@ -79,8 +86,11 @@ func (d *Daemon) machinePath(ord int) string {
 	return filepath.Join(d.cfg.CheckpointDir, fmt.Sprintf("m%04d.ckpt", ord))
 }
 
+// encodeManifest and encodeMember write into the daemon's one reused
+// encoder, so each returned blob is valid only until the next encode.
 func (d *Daemon) encodeManifest() ([]byte, error) {
-	var e snapshot.Encoder
+	e := &d.enc
+	e.Reset()
 	e.Section("daemon.manifest")
 	e.String(d.fingerprint())
 	e.I64(d.tick)
@@ -99,9 +109,9 @@ func (d *Daemon) encodeManifest() ([]byte, error) {
 	e.Int(len(d.machines))
 	e.Len(len(d.sketches))
 	for _, sk := range d.sketches {
-		sk.EncodeState(&e)
+		sk.EncodeState(e)
 	}
-	d.ring.EncodeState(&e)
+	d.ring.EncodeState(e)
 	wb, err := json.Marshal(wdState{Prev: d.wd.prev, Hist: d.wd.hist, Alerting: d.wd.alerting})
 	if err != nil {
 		return nil, fmt.Errorf("daemon: marshal watchdog: %w", err)
@@ -118,14 +128,15 @@ func (d *Daemon) encodeManifest() ([]byte, error) {
 // encodeMember writes one machine blob, stamped with the tick of the
 // checkpoint it belongs to (the manifest's tick).
 func (d *Daemon) encodeMember(ms *member) []byte {
-	var e snapshot.Encoder
+	e := &d.enc
+	e.Reset()
 	e.Section("daemon.machine")
 	e.I64(d.tick)
 	e.Bool(ms.started)
 	e.I64(ms.prevOps)
 	e.F64(ms.prevMallocNs)
-	ms.churn.EncodeState(&e)
-	ms.rt.EncodeState(&e)
+	ms.churn.EncodeState(e)
+	ms.rt.EncodeState(e)
 	return e.Finish()
 }
 

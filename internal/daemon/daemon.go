@@ -34,6 +34,7 @@ import (
 	"wsmalloc/internal/machine"
 	"wsmalloc/internal/rng"
 	"wsmalloc/internal/sched"
+	"wsmalloc/internal/snapshot"
 	"wsmalloc/internal/stats"
 	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/workload"
@@ -216,7 +217,14 @@ type Daemon struct {
 	rolloutsRolledBack int64
 	rolloutBusy        atomic.Bool
 
-	lastCheckpointTick int64
+	// enc is the checkpoint encoder, reset for every blob so its storage
+	// is reused across machines and checkpoints.
+	enc snapshot.Encoder
+	// The last checkpoint's tick and its wall time and bytes written;
+	// the wall time and bytes are host cost, kept out of every export.
+	lastCheckpointTick  int64
+	lastCheckpointMs    float64
+	lastCheckpointBytes int64
 
 	started time.Time
 
@@ -293,6 +301,12 @@ type Status struct {
 	RolloutMachines    int     `json:"rollout_machines,omitempty"`
 	RolloutsPromoted   int64   `json:"rollouts_promoted"`
 	RolloutsRolledBack int64   `json:"rollouts_rolled_back"`
+
+	// LastCheckpointMs and LastCheckpointBytes are the last checkpoint's
+	// wall time and the bytes it wrote in this process (0 before its
+	// first); like UptimeSec they measure the host, not the simulation.
+	LastCheckpointMs    float64 `json:"last_checkpoint_ms"`
+	LastCheckpointBytes int64   `json:"last_checkpoint_bytes"`
 
 	Sketches []telemetry.SketchValue `json:"sketches,omitempty"`
 }
@@ -653,6 +667,8 @@ func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchV
 		pub.status.GWPWindowsTotal = d.gw.WindowsTotal()
 		pub.status.GWPLastWindow = d.lastWindow
 	}
+	pub.status.LastCheckpointMs = d.lastCheckpointMs
+	pub.status.LastCheckpointBytes = d.lastCheckpointBytes
 	pub.status.ActiveDesign = d.effectiveDesign()
 	pub.status.RolloutsPromoted = d.rolloutsPromoted
 	pub.status.RolloutsRolledBack = d.rolloutsRolledBack

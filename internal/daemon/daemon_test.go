@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -210,11 +212,13 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 
 // TestResumeRejectsOldEpochCheckpoint: a checkpoint directory written at
 // an older snapshot version — version 1, the sampling epoch before the
-// ziggurat samplers, or version 2, the machine-blob layout before the
-// shared machine runtime — must fail to resume with an error naming the
-// version, never continue silently onto this build's streams or layout.
+// ziggurat samplers, version 2, the machine-blob layout before the
+// shared machine runtime, or version 3, the FNV-1a checksum before the
+// CRC pair — must fail to resume with an error naming the version, never
+// continue silently onto this build's streams or layout or fail on a
+// checksum it cannot read.
 func TestResumeRejectsOldEpochCheckpoint(t *testing.T) {
-	for _, old := range []uint32{1, 2} {
+	for _, old := range []uint32{1, 2, 3} {
 		dir := t.TempDir()
 		cfg := testConfig(t, 3)
 		cfg.CheckpointDir = dir
@@ -252,6 +256,147 @@ func TestResumeRejectsOldEpochCheckpoint(t *testing.T) {
 			!strings.Contains(err.Error(), fmt.Sprintf("version %d, want %d", old, snapshot.Version)) {
 			t.Fatalf("resuming a version-%d checkpoint: err = %v, want a version rejection", old, err)
 		}
+	}
+}
+
+// TestCheckpointRefusesCorruptedMachineBlob flips one byte at a time of
+// the largest machine blob of a DefaultConfig daemon (2-3 MB) — the
+// first and last payload bytes and one byte inside every section — and
+// requires NewDecoder to refuse each flipped blob on its checksum,
+// before any state is read.
+func TestCheckpointRefusesCorruptedMachineBlob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig(9)
+	cfg.CheckpointDir = dir
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	runTicks(t, d, 4)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "m*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) > len(blob) {
+			blob = b
+		}
+	}
+	const header = 20
+	if len(blob) < 2<<20 {
+		t.Fatalf("machine blob is %d bytes, want a multi-MB blob", len(blob))
+	}
+	if _, err := snapshot.NewDecoder(blob); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+
+	// Section starts: a 0xA5 marker, a u32 length and a dotted
+	// lower-case tag. A stray match inside a section only adds a flip.
+	var starts []int
+	var tags []string
+	for i := header; i+5 < len(blob); i++ {
+		if blob[i] != 0xA5 {
+			continue
+		}
+		n := int(binary.LittleEndian.Uint32(blob[i+1:]))
+		if n < 1 || n > 64 || i+5+n > len(blob) {
+			continue
+		}
+		tag := string(blob[i+5 : i+5+n])
+		if strings.Trim(tag, "abcdefghijklmnopqrstuvwxyz0123456789._") != "" {
+			continue
+		}
+		starts = append(starts, i)
+		tags = append(tags, tag)
+	}
+	for _, want := range []string{"daemon.machine", "workload.driver", "workload.result", "pageheap"} {
+		if !slices.Contains(tags, want) {
+			t.Fatalf("section %q not found among %d section markers %v", want, len(tags), tags)
+		}
+	}
+
+	offsets := []int{header, len(blob) - 1}
+	for k, start := range starts {
+		end := len(blob)
+		if k+1 < len(starts) {
+			end = starts[k+1]
+		}
+		offsets = append(offsets, start+(end-start)/2)
+	}
+	bad := make([]byte, len(blob))
+	t.Logf("%d-byte machine blob, %d sections, %d flips", len(blob), len(starts), len(offsets))
+	for _, off := range offsets {
+		copy(bad, blob)
+		bad[off] ^= 0xff
+		if _, err := snapshot.NewDecoder(bad); err == nil || !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("byte %d of %d flipped: NewDecoder err = %v, want a checksum refusal", off, len(blob), err)
+		}
+	}
+}
+
+// TestCheckpointAllocatesLittle: a warmed daemon's checkpoint encodes
+// every blob into one reused buffer and seals it in place, so a second
+// checkpoint allocates far less than it writes (a fresh, doubling
+// buffer per blob plus a sealing copy allocates several times as much).
+// It also checks the wall time and size the checkpoint reports.
+func TestCheckpointAllocatesLittle(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(t, 13)
+	cfg.CheckpointDir = dir
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	runTicks(t, d, 16)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runTicks(t, d, 1)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+
+	var onDisk int64
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if d.lastCheckpointBytes != onDisk || d.lastCheckpointMs <= 0 {
+		t.Fatalf("checkpoint reports %d bytes in %g ms, directory holds %d bytes",
+			d.lastCheckpointBytes, d.lastCheckpointMs, onDisk)
+	}
+	if allocated > uint64(onDisk)/4 {
+		t.Fatalf("checkpoint allocated %d bytes to write %d (%.2fx), want at most 0.25x",
+			allocated, onDisk, float64(allocated)/float64(onDisk))
+	}
+	t.Logf("checkpoint allocated %d bytes to write %d (%.3fx)", allocated, onDisk, float64(allocated)/float64(onDisk))
+
+	runTicks(t, d, 1)
+	if st := d.Status(); st.LastCheckpointTick != 17 || st.LastCheckpointBytes != onDisk || st.LastCheckpointMs <= 0 {
+		t.Fatalf("status after checkpoint: tick %d, %d bytes, %g ms; want tick 17, %d bytes",
+			st.LastCheckpointTick, st.LastCheckpointBytes, st.LastCheckpointMs, onDisk)
 	}
 }
 

@@ -1,6 +1,6 @@
 // The window codec: one profile window serializes to a versioned,
 // checksummed internal/snapshot blob (the "WSMS" envelope gives magic,
-// format version, FNV-1a payload checksum and truncation detection for
+// format version, CRC payload checksum and truncation detection for
 // free). Inside the envelope, section markers delimit the window's
 // parts; the export-shaped parts (meta, records, fragmentation,
 // profiles) ride as JSON blobs — Go's JSON round-trips float64 exactly

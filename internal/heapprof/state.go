@@ -1,6 +1,7 @@
 package heapprof
 
 import (
+	"slices"
 	"sort"
 
 	"wsmalloc/internal/snapshot"
@@ -25,7 +26,7 @@ func (p *Profiler) EncodeState(e *snapshot.Encoder) {
 	for a := range p.live {
 		addrs = append(addrs, a)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	e.Len(len(addrs))
 	for _, a := range addrs {
 		s := p.live[a]
@@ -62,7 +63,7 @@ func (p *Profiler) EncodeState(e *snapshot.Encoder) {
 	for c := range p.classLife {
 		classes = append(classes, c)
 	}
-	sort.Ints(classes)
+	slices.Sort(classes)
 	e.Len(len(classes))
 	for _, c := range classes {
 		cl := p.classLife[c]

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"wsmalloc/internal/snapshot"
 )
@@ -27,7 +27,7 @@ func (o *OS) EncodeState(e *snapshot.Encoder) {
 	for h := range o.mapped {
 		ids = append(ids, h)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	e.Len(len(ids))
 	for _, h := range ids {
 		st := o.mapped[h]

@@ -1,7 +1,7 @@
 package pageheap
 
 import (
-	"sort"
+	"slices"
 
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/snapshot"
@@ -264,7 +264,7 @@ func (p *PageHeap) EncodeState(e *snapshot.Encoder) {
 	for s := range p.live {
 		starts = append(starts, s)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 	e.Len(len(starts))
 	for _, s := range starts {
 		pl := p.live[s]

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"strings"
 	"testing"
@@ -99,6 +100,45 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
+// TestEncoderReset encodes a long blob, resets, and encodes a short
+// one: the short blob must match a fresh encoder's byte for byte, with
+// nothing of the long blob's header or tail left behind, and must reuse
+// the long blob's storage.
+func TestEncoderReset(t *testing.T) {
+	short := func(e *Encoder) []byte {
+		e.Section("short")
+		e.U64(7)
+		e.String("tail")
+		return e.Finish()
+	}
+	want := short(NewEncoder())
+
+	e := NewEncoder()
+	e.Section("long")
+	for i := 0; i < 1<<12; i++ {
+		e.U64(^uint64(i))
+	}
+	long := e.Finish()
+	e.Reset()
+	got := short(e)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("short blob after reset differs from a fresh encoder's:\ngot  %x\nwant %x", got, want)
+	}
+	if &got[0] != &long[0] {
+		t.Error("reset encoder did not reuse its storage")
+	}
+	if _, err := NewDecoder(got); err != nil {
+		t.Fatalf("short blob after reset: %v", err)
+	}
+
+	// A reset encoder that writes nothing seals an empty payload, like
+	// a fresh one.
+	e.Reset()
+	if empty, fresh := e.Finish(), NewEncoder().Finish(); !bytes.Equal(empty, fresh) || len(empty) != headerSize {
+		t.Fatalf("empty blob after reset = %x, fresh = %x", empty, fresh)
+	}
+}
+
 // TestRejectTruncated asserts truncation at every length fails cleanly.
 func TestRejectTruncated(t *testing.T) {
 	e := NewEncoder()
@@ -139,6 +179,20 @@ func TestRejectCorrupted(t *testing.T) {
 		if d.Err() == nil {
 			t.Fatalf("corruption at byte %d decoded cleanly", i)
 		}
+	}
+}
+
+// TestChecksumIsCRCPair pins the header's checksum field: CRC-32C of
+// the payload in the high word, CRC-32 (IEEE) in the low word.
+func TestChecksumIsCRCPair(t *testing.T) {
+	e := NewEncoder()
+	e.Section("crc")
+	e.String("123456789")
+	blob := e.Finish()
+	payload := blob[headerSize:]
+	want := uint64(crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))<<32 | uint64(crc32.ChecksumIEEE(payload))
+	if got := binary.LittleEndian.Uint64(blob[8:16]); got != want {
+		t.Fatalf("header checksum %#016x, want %#016x", got, want)
 	}
 }
 

@@ -739,12 +739,10 @@ func (d *Driver) freeBucket(objs []object) {
 	}
 }
 
-// ringBucketOf recovers the bucket number a populated ring slot holds:
-// the unique b ≡ slot (mod wheelRingSize) inside the current window
-// [curBucket, curBucket+wheelRingSize).
-func (d *Driver) ringBucketOf(slot int64) int64 {
-	off := (slot - (d.curBucket & wheelMask) + wheelRingSize) & wheelMask
-	return d.curBucket + off
+// inWindow reports whether bucket b lies in the ring's current window
+// [curBucket, curBucket+wheelRingSize), so ring slot b&wheelMask holds it.
+func (d *Driver) inWindow(b int64) bool {
+	return b >= d.curBucket && b-d.curBucket < wheelRingSize
 }
 
 // scheduleFar parks an object whose death bucket is beyond the ring

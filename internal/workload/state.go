@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"sort"
+	"slices"
 
 	"wsmalloc/internal/check"
 	"wsmalloc/internal/snapshot"
@@ -30,44 +30,50 @@ func (d *Driver) EncodeState(e *snapshot.Encoder) {
 	e.I64(d.nextCheckpoint)
 
 	// Emit one entry per populated bucket in ascending bucket order,
-	// each bucket's objects in insertion order (far entries precede
-	// ring entries — see the wheel fields) so the encoding is identical
-	// to the old single-map wheel's.
-	ringBuckets := make(map[int64]int, wheelRingSize)
-	buckets := make([]int64, 0, len(d.wheelFar)+wheelRingSize)
-	for slot, objs := range d.wheelRing {
-		if len(objs) == 0 {
+	// each bucket's objects in insertion order: far entries precede ring
+	// entries (see the wheel fields), so a bucket held in both is one
+	// entry, far part first, and the encoding is identical to the old
+	// single-map wheel's. The ring window is walked in bucket order and
+	// merged with the sorted far keys, so no bucket is copied.
+	far := make([]int64, 0, len(d.wheelFar))
+	for b := range d.wheelFar {
+		far = append(far, b)
+	}
+	slices.Sort(far)
+	n := len(far)
+	for _, objs := range d.wheelRing {
+		if len(objs) > 0 {
+			n++
+		}
+	}
+	for _, b := range far {
+		if d.inWindow(b) && len(d.wheelRing[b&wheelMask]) > 0 {
+			n-- // shared with its ring slot
+		}
+	}
+	e.Len(n)
+	fi := 0
+	for b := d.curBucket; b < d.curBucket+wheelRingSize; b++ {
+		ring := d.wheelRing[b&wheelMask]
+		if len(ring) == 0 {
 			continue
 		}
-		b := d.ringBucketOf(int64(slot))
-		ringBuckets[b] = slot
-		buckets = append(buckets, b)
+		for ; fi < len(far) && far[fi] < b; fi++ {
+			encodeBucket(e, far[fi], d.wheelFar[far[fi]], nil)
+		}
+		var head []object
+		if fi < len(far) && far[fi] == b {
+			head = d.wheelFar[b]
+			fi++
+		}
+		encodeBucket(e, b, head, ring)
 	}
-	for b := range d.wheelFar {
-		if _, dup := ringBuckets[b]; !dup {
-			buckets = append(buckets, b)
-		}
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-	e.Len(len(buckets))
-	for _, b := range buckets {
-		objs := d.wheelFar[b]
-		if slot, ok := ringBuckets[b]; ok {
-			objs = append(objs[:len(objs):len(objs)], d.wheelRing[slot]...)
-		}
-		e.I64(b)
-		e.Len(len(objs))
-		for _, o := range objs {
-			e.U64(o.addr)
-			e.Int(o.size)
-		}
+	for ; fi < len(far); fi++ {
+		encodeBucket(e, far[fi], d.wheelFar[far[fi]], nil)
 	}
 
 	e.Len(len(d.preloaded))
-	for _, o := range d.preloaded {
-		e.U64(o.addr)
-		e.Int(o.size)
-	}
+	encodeObjects(e, d.preloaded)
 
 	e.Section("workload.result")
 	e.I64(d.res.Ops)
@@ -85,6 +91,22 @@ func (d *Driver) EncodeState(e *snapshot.Encoder) {
 		e.String(v.Tier)
 		e.String(string(v.Kind))
 		e.String(v.Detail)
+	}
+}
+
+// encodeBucket writes one death bucket: its number, then the far and
+// ring parts as one object list.
+func encodeBucket(e *snapshot.Encoder, b int64, far, ring []object) {
+	e.I64(b)
+	e.Len(len(far) + len(ring))
+	encodeObjects(e, far)
+	encodeObjects(e, ring)
+}
+
+func encodeObjects(e *snapshot.Encoder, objs []object) {
+	for _, o := range objs {
+		e.U64(o.addr)
+		e.Int(o.size)
 	}
 }
 
@@ -127,7 +149,7 @@ func (d *Driver) DecodeState(dec *snapshot.Decoder) error {
 		// would: in-window buckets to the ring, the rest to the far
 		// map. A merged far+ring bucket collapses into one ring slice;
 		// its replay order is unchanged.
-		if b >= d.curBucket && b-d.curBucket < wheelRingSize {
+		if d.inWindow(b) {
 			slot := b & wheelMask
 			if len(d.wheelRing[slot]) > 0 {
 				dec.Fail("workload: duplicate death bucket %d", b)

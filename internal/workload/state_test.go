@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"wsmalloc/internal/core"
@@ -188,5 +190,93 @@ func TestDriverOOMKillRestart(t *testing.T) {
 	}
 	if res1.Ops == 0 || res1.Stats.LiveObjects < 0 {
 		t.Fatalf("implausible result: %+v", res1)
+	}
+}
+
+// TestWheelEncodesFarBeforeRing pins the death wheel's encoded order on
+// a hand-built wheel: one entry per populated bucket in ascending bucket
+// order, and a bucket held both in wheelFar and in its ring slot is one
+// entry with the far objects first. The window starts mid-ring, so the
+// walk wraps past slot 0, and far buckets sit before, inside and beyond
+// the window.
+func TestWheelEncodesFarBeforeRing(t *testing.T) {
+	newDriver := func() *Driver {
+		opts := DefaultOptions(5)
+		opts.Duration = 10 * Millisecond
+		d := NewDriver(Monarch(), core.New(core.BaselineConfig(), topology.New(topology.Default())), opts)
+		d.setThreads(1)
+		return d
+	}
+	objs := func(addrs ...uint64) []object {
+		var out []object
+		for _, a := range addrs {
+			out = append(out, object{addr: a, size: int(a) * 16})
+		}
+		return out
+	}
+	d := newDriver()
+	d.curBucket = 5000 // window [5000, 9096) wraps the ring at bucket 8192
+	ring := func(b int64, o []object) { d.wheelRing[b&wheelMask] = o }
+	ring(5000, objs(4))
+	ring(8200, objs(3))
+	ring(9095, objs(5))
+	d.wheelFar[8200] = objs(1, 2) // shared with its ring slot
+	d.wheelFar[6000] = objs(6)    // inside the window, ring slot empty
+	d.wheelFar[20000] = objs(7)   // beyond the window
+	d.wheelFar[4000] = objs(8)    // behind the window
+	d.liveCount = 8
+
+	var e snapshot.Encoder
+	d.EncodeState(&e)
+	blob := e.Finish()
+
+	// Decoding routes every in-window bucket to its ring slot, merging a
+	// shared bucket into one list in encoded order.
+	back := newDriver()
+	dec, err := snapshot.NewDecoder(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.DecodeState(dec); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	type entry struct {
+		bucket int64
+		addrs  []uint64
+	}
+	var got []entry
+	add := func(b int64, o []object) {
+		en := entry{bucket: b}
+		for _, x := range o {
+			if x.size != int(x.addr)*16 {
+				t.Fatalf("bucket %d: object %d restored with size %d", b, x.addr, x.size)
+			}
+			en.addrs = append(en.addrs, x.addr)
+		}
+		got = append(got, en)
+	}
+	if o := back.wheelFar[4000]; len(o) > 0 {
+		add(4000, o)
+	}
+	for b := back.curBucket; b < back.curBucket+wheelRingSize; b++ {
+		if o := back.wheelRing[b&wheelMask]; len(o) > 0 {
+			add(b, o)
+		}
+	}
+	if o := back.wheelFar[20000]; len(o) > 0 {
+		add(20000, o)
+	}
+	want := []entry{{4000, []uint64{8}}, {5000, []uint64{4}}, {6000, []uint64{6}},
+		{8200, []uint64{1, 2, 3}}, {9095, []uint64{5}}, {20000, []uint64{7}}}
+	if len(back.wheelFar) != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored wheel %v (far keys %d), want %v", got, len(back.wheelFar), want)
+	}
+
+	// The restored wheel holds the same buckets in the same order, so it
+	// encodes to the same bytes.
+	var again snapshot.Encoder
+	back.EncodeState(&again)
+	if !bytes.Equal(again.Finish(), blob) {
+		t.Fatal("re-encoding the restored driver changed the blob")
 	}
 }

@@ -19,8 +19,10 @@
 # counts every malloc), a live-retune smoke (a mid-run design swap on the
 # experiment arm must be byte-identical at -j 1 vs -j 4 and across a
 # kill exactly at the swap tick plus resume), a fleet-daemon smoke
-# (start the control plane, scrape the live pages, inject a fault burst
-# through the admin API, require the watchdog to alert, quit cleanly),
+# (start the control plane checkpointing every 4 ticks, scrape the live
+# pages, require /statusz to report a written checkpoint, inject a fault
+# burst through the admin API, require the watchdog to alert, quit
+# cleanly),
 # a staged-rollout smoke (a 1% canary under an injected burst must
 # auto-roll-back with a structured alert; a healthy candidate must
 # climb 1% -> 10% -> 100% and be promoted to the active design), the
@@ -219,16 +221,19 @@ for wh in whJ4 whB; do
     done
 done
 
-echo "==> fleet-daemon smoke (live pages, fault inject, watchdog alert, clean quit)"
-# Start a small free-running daemon on an ephemeral port, wait for it to
-# tick past the watchdog warmup, scrape the live pages, inject a
-# fault burst through the admin API, and require the watchdog to report
-# the resulting regression on /alertz and in the JSONL alert log before
-# a clean /admin/quit shutdown.
+echo "==> fleet-daemon smoke (live pages, checkpoints, fault inject, watchdog alert, clean quit)"
+# Start a small free-running daemon on an ephemeral port, checkpointing
+# every 4 ticks (so several checkpoints reuse one encoder), wait for it
+# to tick past the watchdog warmup, scrape the live pages, require
+# /statusz to report a checkpoint of a tick >= 4 with a non-zero size,
+# inject a fault burst through the admin API, and require the watchdog
+# to report the resulting regression on /alertz and in the JSONL alert
+# log before a clean /admin/quit shutdown.
 DLOG="$TELDIR/daemon.log"
 go build -o "$TELDIR/fleet-daemon" ./cmd/fleet-daemon
 "$TELDIR/fleet-daemon" -listen 127.0.0.1:0 -machines 16 -sample 0.5 -seed 7 \
     -tick-ms 1 -diurnal-ms 8 -churn 0 -wd-window 4 \
+    -checkpoint-dir "$TELDIR/daemon-ck" -checkpoint-every-ticks 4 \
     -alert-log "$TELDIR/alerts.jsonl" > "$DLOG" &
 DPID=$!
 ADDR=""
@@ -253,6 +258,10 @@ curl -fsS "http://$ADDR/metricsz" > "$TELDIR/daemon.metricsz"
 grep -q '^# HELP' "$TELDIR/daemon.metricsz"
 curl -fsS "http://$ADDR/statusz" > "$TELDIR/daemon.statusz"
 grep -q '"service": "fleet-daemon"' "$TELDIR/daemon.statusz"
+CKTICK="$(sed -n 's/.*"last_checkpoint_tick": \([0-9]*\).*/\1/p' "$TELDIR/daemon.statusz")"
+CKBYTES="$(sed -n 's/.*"last_checkpoint_bytes": \([0-9]*\).*/\1/p' "$TELDIR/daemon.statusz")"
+[ "${CKTICK:-0}" -ge 4 ] # the daemon must have checkpointed by tick 4
+[ "${CKBYTES:-0}" -gt 0 ] # ... and report the checkpoint's size
 curl -fsS "http://$ADDR/healthz" > /dev/null
 curl -fsS -X POST "http://$ADDR/admin/inject?ticks=2&frac=1.0" > /dev/null
 ALERTED=0

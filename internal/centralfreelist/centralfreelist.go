@@ -31,10 +31,6 @@ type Config struct {
 	SpanLifetimeThreshold int
 }
 
-// maxFreeSpans bounds the released-span structs a List parks for reuse;
-// a span released past the bound is simply left to the GC.
-const maxFreeSpans = 64
-
 // DefaultConfig returns the redesigned configuration from the paper.
 func DefaultConfig() Config {
 	return Config{Policy: FullestFirst, NumLists: 8, SpanLifetimeThreshold: 16}
@@ -67,7 +63,12 @@ type List struct {
 	class sizeclass.Class
 	cfg   Config
 	ph    *pageheap.PageHeap
-	pm    *mem.PageMap[*span.Span]
+	// spans is the machine's span slab, shared with every other class
+	// and the large-span path; pm maps each span page to its ID.
+	spans *span.Slab
+	pm    *mem.PageMap
+	// tag is the class's page-map size-class byte.
+	tag uint8
 
 	// nonempty[i] holds partially-filled spans; with prioritization,
 	// index 0 holds the fullest spans. Full spans are parked in full.
@@ -82,21 +83,15 @@ type List struct {
 
 	feed pageheap.LifetimeFeedback
 
-	// freeSpans holds released span structs for reuse: a span returned
-	// to the pageheap is unreachable from every tier (the pagemap range
-	// is cleared first), so recycling the struct on the next growth is
-	// safe and spares the GC the churn of the span round trip.
-	freeSpans []*span.Span
-
 	tel *telemetry.Sink
 }
 
 // SetTelemetry installs the telemetry sink (nil disables).
 func (l *List) SetTelemetry(s *telemetry.Sink) { l.tel = s }
 
-// New creates a central free list for class c, drawing spans from ph and
-// registering object pages in pm.
-func New(c sizeclass.Class, cfg Config, ph *pageheap.PageHeap, pm *mem.PageMap[*span.Span]) *List {
+// New creates a central free list for class c, drawing pages from ph,
+// placing spans in the slab spans and registering their pages in pm.
+func New(c sizeclass.Class, cfg Config, ph *pageheap.PageHeap, spans *span.Slab, pm *mem.PageMap) *List {
 	if cfg.NumLists < 1 {
 		panic(fmt.Sprintf("centralfreelist: NumLists = %d", cfg.NumLists))
 	}
@@ -104,7 +99,9 @@ func New(c sizeclass.Class, cfg Config, ph *pageheap.PageHeap, pm *mem.PageMap[*
 		class:    c,
 		cfg:      cfg,
 		ph:       ph,
+		spans:    spans,
 		pm:       pm,
+		tag:      span.ClassTag(c.Index),
 		nonempty: make([]span.List, cfg.lists()),
 	}
 	l.lifetime = l.classify()
@@ -122,25 +119,23 @@ func (l *List) classify() pageheap.Lifetime {
 // pageheap's (already swapped) filler policy, and every partially-filled
 // span is deterministically refiled into the new occupancy-list geometry
 // (walking the old lists in index order, front to back). Full spans stay
-// parked, the recycled-span stash survives, and the cumulative counters
-// carry over. A Swap on a freshly constructed list is indistinguishable
-// from construction with cfg.
+// parked and the cumulative counters carry over. A Swap on a freshly
+// constructed list is indistinguishable from construction with cfg.
 func (l *List) Swap(cfg Config) {
 	if cfg.NumLists < 1 {
 		panic(fmt.Sprintf("centralfreelist: NumLists = %d", cfg.NumLists))
 	}
-	var spans []*span.Span
+	var ids []span.ID
 	for i := range l.nonempty {
-		for s := l.nonempty[i].Front(); s != nil; s = l.nonempty[i].Front() {
-			l.nonempty[i].Remove(s)
-			spans = append(spans, s)
+		for id := l.spans.PopFront(&l.nonempty[i]); id != 0; id = l.spans.PopFront(&l.nonempty[i]) {
+			ids = append(ids, id)
 		}
 	}
 	l.cfg = cfg
 	l.lifetime = l.classify()
 	l.nonempty = make([]span.List, cfg.lists())
-	for _, s := range spans {
-		l.relink(s)
+	for _, id := range ids {
+		l.relink(id)
 	}
 }
 
@@ -167,13 +162,15 @@ func (l *List) listIndexFor(live int) int {
 	return prioritizedListFor(len(l.nonempty), live)
 }
 
-// relink places s in the correct occupancy list (or full parking).
-func (l *List) relink(s *span.Span) {
+// relink places span id in the correct occupancy list (or full
+// parking).
+func (l *List) relink(id span.ID) {
+	s := l.spans.At(id)
 	if s.Full() {
-		l.full.PushFront(s)
+		l.spans.PushFront(&l.full, id)
 		return
 	}
-	l.nonempty[l.listIndexFor(s.Live())].PushFront(s)
+	l.spans.PushFront(&l.nonempty[l.listIndexFor(s.Live())], id)
 }
 
 // AllocBatch fills out with newly allocated object addresses and returns
@@ -184,12 +181,13 @@ func (l *List) relink(s *span.Span) {
 func (l *List) AllocBatch(out []uint64) (int, error) {
 	filled := 0
 	for filled < len(out) {
-		s, srcIdx, err := l.pickSpan()
+		id, srcIdx, err := l.pickSpan()
 		if err != nil {
 			return filled, err
 		}
+		s := l.spans.At(id)
 		for filled < len(out) {
-			addr, ok := s.Allocate()
+			addr, ok := l.spans.Allocate(id)
 			if !ok {
 				break
 			}
@@ -200,7 +198,7 @@ func (l *List) AllocBatch(out []uint64) (int, error) {
 		if s.InList() {
 			panic("centralfreelist: picked span still linked")
 		}
-		l.relink(s)
+		l.relink(id)
 		// A span that changed occupancy list while being filled is the
 		// structural transition span prioritization reasons about
 		// (srcIdx >= 0 excludes fresh spans, which EvCFLSpanCreate
@@ -218,20 +216,20 @@ func (l *List) AllocBatch(out []uint64) (int, error) {
 	return filled, nil
 }
 
-// pickSpan returns a span with free capacity, unlinked from its list,
-// plus the occupancy-list index it came from (-1 for a freshly grown
-// span). The span policy chooses among existing spans; growth is the
-// shared fallback.
-func (l *List) pickSpan() (*span.Span, int, error) {
-	var s *span.Span
+// pickSpan returns the ID of a span with free capacity, unlinked from
+// its list, plus the occupancy-list index it came from (-1 for a freshly
+// grown span). The span policy chooses among existing spans; growth is
+// the shared fallback.
+func (l *List) pickSpan() (span.ID, int, error) {
+	var id span.ID
 	var i int
 	if l.cfg.Policy == BestFit {
-		s, i = bestFitPick(l)
+		id, i = bestFitPick(l)
 	} else {
-		s, i = frontPick(l)
+		id, i = frontPick(l)
 	}
-	if s != nil {
-		return s, i, nil
+	if id != 0 {
+		return id, i, nil
 	}
 	grown, err := l.growSpan()
 	return grown, -1, err
@@ -241,27 +239,19 @@ func (l *List) pickSpan() (*span.Span, int, error) {
 // allocation failure. The lifetime class is re-predicted per growth so
 // the heap-profile filler policy can change its answer as observations
 // accrue.
-func (l *List) growSpan() (*span.Span, error) {
+func (l *List) growSpan() (span.ID, error) {
 	l.lifetime = l.classify()
 	start, err := l.ph.Alloc(l.class.Pages, l.lifetime)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var s *span.Span
-	if n := len(l.freeSpans); n > 0 {
-		s = l.freeSpans[n-1]
-		l.freeSpans[n-1] = nil
-		l.freeSpans = l.freeSpans[:n-1]
-		s.Recycle(start)
-	} else {
-		s = span.New(start, l.class.Pages, l.class.Index, l.class.Size, l.class.ObjectsPerSpan)
-	}
+	id := l.spans.New(start, l.class.Pages, l.class.Index, l.class.Size, l.class.ObjectsPerSpan)
 	l.nextSeq++
-	s.Seq = l.nextSeq
-	l.pm.SetRange(start, l.class.Pages, s)
+	l.spans.At(id).Seq = l.nextSeq
+	l.pm.SetRange(start, l.class.Pages, uint32(id), l.tag)
 	l.spansCreated++
-	l.tel.Event(telemetry.EvCFLSpanCreate, int64(l.class.Index), s.Seq)
-	return s, nil
+	l.tel.Event(telemetry.EvCFLSpanCreate, int64(l.class.Index), l.nextSeq)
+	return id, nil
 }
 
 // FreeBatch returns objects to their spans. Spans that drain completely
@@ -273,49 +263,46 @@ func (l *List) FreeBatch(objs []uint64) {
 	// (the per-object Event calls below are gated on this one flag).
 	telOn := l.tel != nil
 	for _, addr := range objs {
-		p := mem.PageID(addr >> mem.PageShift)
-		s, ok := l.pm.Get(p)
-		if !ok {
+		raw, tag := l.pm.Lookup(mem.PageID(addr >> mem.PageShift))
+		if raw == 0 {
 			panic(fmt.Sprintf("centralfreelist: free of unmapped address %#x", addr))
 		}
-		if s.ClassIndex != l.class.Index {
+		if tag != l.tag {
 			panic(fmt.Sprintf("centralfreelist: object %#x belongs to class %d, not %d",
-				addr, s.ClassIndex, l.class.Index))
+				addr, span.TagClass(tag), l.class.Index))
 		}
+		id := span.ID(raw)
+		s := l.spans.At(id)
 		wasFull := s.Full()
 		oldIdx := -1
 		if !wasFull {
 			oldIdx = l.listIndexFor(s.Live())
 		}
-		s.FreeAddr(addr)
+		l.spans.FreeAddr(id, addr)
 		l.liveObjects--
 		switch {
 		case s.Empty():
 			// Every object returned: give the span back to the pageheap.
-			l.unlinkFor(s, wasFull, oldIdx)
+			l.unlinkFor(id, wasFull, oldIdx)
 			l.pm.ClearRange(s.Start, s.Pages)
 			l.ph.Free(s.Start, s.Pages)
 			l.spansReleased++
 			if telOn {
 				l.tel.Event(telemetry.EvCFLSpanRelease, int64(l.class.Index), s.Seq)
 			}
-			// The struct is now unreachable from every tier (the pagemap
-			// range was just cleared); park it for the next growth rather
-			// than letting it churn through the GC. The stash is bounded —
-			// spans beyond it stay garbage as before.
-			if len(l.freeSpans) < maxFreeSpans {
-				l.freeSpans = append(l.freeSpans, s)
-			}
+			// No page names the span any more: its ID is free for the
+			// next growth.
+			l.spans.Release(id)
 		case wasFull:
-			l.full.Remove(s)
-			l.relink(s)
+			l.spans.Remove(&l.full, id)
+			l.relink(id)
 			if telOn {
 				l.tel.Event(telemetry.EvCFLSpanMove, int64(l.class.Index), int64(l.listIndexFor(s.Live())))
 			}
 		default:
 			if newIdx := l.listIndexFor(s.Live()); newIdx != oldIdx {
-				l.nonempty[oldIdx].Remove(s)
-				l.relink(s)
+				l.spans.Remove(&l.nonempty[oldIdx], id)
+				l.relink(id)
 				if telOn {
 					l.tel.Event(telemetry.EvCFLSpanMove, int64(l.class.Index), int64(newIdx))
 				}
@@ -324,12 +311,12 @@ func (l *List) FreeBatch(objs []uint64) {
 	}
 }
 
-func (l *List) unlinkFor(s *span.Span, wasFull bool, oldIdx int) {
+func (l *List) unlinkFor(id span.ID, wasFull bool, oldIdx int) {
 	if wasFull {
-		l.full.Remove(s)
+		l.spans.Remove(&l.full, id)
 		return
 	}
-	l.nonempty[oldIdx].Remove(s)
+	l.spans.Remove(&l.nonempty[oldIdx], id)
 }
 
 // Stats returns a snapshot.
@@ -357,35 +344,44 @@ func (l *List) Stats() Stats {
 // (Fig. 11/13); the reported bytes sum exactly to Stats().FreeBytes.
 func (l *List) EachFreeSpan(fn func(freeBytes, bornAtNs int64)) {
 	tail := int64(l.class.TailWaste())
-	visit := func(s *span.Span) {
+	visit := func(_ span.ID, s *span.Span) {
 		if free := int64(s.FreeSlots())*int64(s.ObjSize) + tail; free > 0 {
 			fn(free, s.BornAt)
 		}
 	}
-	l.full.Each(visit)
+	l.spans.Each(&l.full, visit)
 	for i := range l.nonempty {
-		l.nonempty[i].Each(visit)
+		l.spans.Each(&l.nonempty[i], visit)
 	}
 }
 
 // EachSpan visits every owned span; fn must not allocate or free through
 // this list. Used by the span return-rate studies (Fig. 13).
 func (l *List) EachSpan(fn func(*span.Span)) {
+	visit := func(_ span.ID, s *span.Span) { fn(s) }
 	for i := range l.nonempty {
-		l.nonempty[i].Each(fn)
+		l.spans.Each(&l.nonempty[i], visit)
 	}
-	l.full.Each(fn)
+	l.spans.Each(&l.full, visit)
 }
 
 // CheckInvariants audits the free list: every span filed in the right
-// occupancy list for its live count, full spans parked in full, live
-// counts within capacity, the pagemap resolving every span page back to
-// its span, and the aggregate live-object counter against a per-span
-// recount.
+// occupancy list for its live count, full spans parked in full, every
+// listed span of this class's geometry, live counts within capacity, the
+// pagemap resolving every span page back to its span ID and class, and
+// the aggregate live-object counter against a per-span recount.
 func (l *List) CheckInvariants() []check.Violation {
 	var vs []check.Violation
 	var liveRecount int64
-	audit := func(s *span.Span, wantFull bool, listIdx int) {
+	audit := func(id span.ID, s *span.Span, wantFull bool, listIdx int) {
+		if s.ClassIndex != l.class.Index || s.Pages != l.class.Pages {
+			// A released slab slot is zeroed, so this also catches a
+			// freed ID still linked into a list.
+			vs = append(vs, check.Violationf("centralfreelist", check.KindStructure,
+				"class %d list holds span ID %d of class %d with %d pages",
+				l.class.Index, id, s.ClassIndex, s.Pages))
+			return
+		}
 		if s.Live() < 0 || s.Live() > l.class.ObjectsPerSpan {
 			vs = append(vs, check.Violationf("centralfreelist", check.KindStructure,
 				"class %d span at %#x has %d live objects of capacity %d",
@@ -403,7 +399,7 @@ func (l *List) CheckInvariants() []check.Violation {
 				l.class.Index, s.Start.Addr(), s.Live(), listIdx, l.listIndexFor(s.Live())))
 		}
 		for i := 0; i < s.Pages; i++ {
-			if got, ok := l.pm.Get(s.Start + mem.PageID(i)); !ok || got != s {
+			if got, tag := l.pm.Lookup(s.Start + mem.PageID(i)); got != uint32(id) || tag != l.tag {
 				vs = append(vs, check.Violationf("centralfreelist", check.KindStructure,
 					"pagemap does not resolve page %#x back to its class-%d span",
 					(s.Start+mem.PageID(i)).Addr(), l.class.Index))
@@ -413,9 +409,9 @@ func (l *List) CheckInvariants() []check.Violation {
 	}
 	for i := range l.nonempty {
 		idx := i
-		l.nonempty[i].Each(func(s *span.Span) { audit(s, false, idx) })
+		l.spans.Each(&l.nonempty[i], func(id span.ID, s *span.Span) { audit(id, s, false, idx) })
 	}
-	l.full.Each(func(s *span.Span) { audit(s, true, -1) })
+	l.spans.Each(&l.full, func(id span.ID, s *span.Span) { audit(id, s, true, -1) })
 	if liveRecount != l.liveObjects {
 		vs = append(vs, check.Violationf("centralfreelist", check.KindAccounting,
 			"class %d live-object counter %d disagrees with span recount %d",

@@ -14,13 +14,13 @@ func newEnv(t *testing.T, cfg Config, size int) (*List, *pageheap.PageHeap, size
 	t.Helper()
 	o := mem.NewOS()
 	ph := pageheap.New(o, pageheap.DefaultConfig())
-	pm := mem.NewPageMap[*span.Span]()
+	sl, pm := new(span.Slab), mem.NewPageMap()
 	tab := sizeclass.NewTable()
 	c, ok := tab.ClassFor(size)
 	if !ok {
 		t.Fatalf("no class for size %d", size)
 	}
-	return New(c, cfg, ph, pm), ph, c
+	return New(c, cfg, ph, sl, pm), ph, c
 }
 
 func TestAllocBatchGrows(t *testing.T) {
@@ -194,10 +194,10 @@ func TestLegacyPinsDrainingFrontSpan(t *testing.T) {
 	scenario := func(cfg Config) (spansAtEnd int, releases int64) {
 		o := mem.NewOS()
 		ph := pageheap.New(o, pageheap.DefaultConfig())
-		pm := mem.NewPageMap[*span.Span]()
+		sl, pm := new(span.Slab), mem.NewPageMap()
 		tab := sizeclass.NewTable()
 		c, _ := tab.ClassFor(16)
-		l := New(c, cfg, ph, pm)
+		l := New(c, cfg, ph, sl, pm)
 		cap := c.ObjectsPerSpan
 
 		// Fill spans A then B completely.
@@ -236,12 +236,12 @@ func TestLegacyPinsDrainingFrontSpan(t *testing.T) {
 func TestFreeForeignObjectPanics(t *testing.T) {
 	o := mem.NewOS()
 	ph := pageheap.New(o, pageheap.DefaultConfig())
-	pm := mem.NewPageMap[*span.Span]()
+	sl, pm := new(span.Slab), mem.NewPageMap()
 	tab := sizeclass.NewTable()
 	c16, _ := tab.ClassFor(16)
 	c32, _ := tab.ClassFor(32)
-	l16 := New(c16, DefaultConfig(), ph, pm)
-	l32 := New(c32, DefaultConfig(), ph, pm)
+	l16 := New(c16, DefaultConfig(), ph, sl, pm)
+	l32 := New(c32, DefaultConfig(), ph, sl, pm)
 	out := make([]uint64, 1)
 	l16.AllocBatch(out)
 	t.Run("wrong class", func(t *testing.T) {
@@ -276,12 +276,12 @@ func TestEachSpanVisitsAll(t *testing.T) {
 func TestShortLifetimeClassification(t *testing.T) {
 	o := mem.NewOS()
 	ph := pageheap.New(o, pageheap.DefaultConfig())
-	pm := mem.NewPageMap[*span.Span]()
+	sl, pm := new(span.Slab), mem.NewPageMap()
 	tab := sizeclass.NewTable()
 	big, _ := tab.ClassFor(sizeclass.MaxSmallSize) // capacity small
 	small, _ := tab.ClassFor(8)                    // capacity 1024
-	lBig := New(big, DefaultConfig(), ph, pm)
-	lSmall := New(small, DefaultConfig(), ph, pm)
+	lBig := New(big, DefaultConfig(), ph, sl, pm)
+	lSmall := New(small, DefaultConfig(), ph, sl, pm)
 	if lBig.Lifetime() != pageheap.LifetimeShort {
 		t.Fatal("large-object spans must classify short-lived")
 	}

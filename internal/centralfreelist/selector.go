@@ -3,6 +3,7 @@ package centralfreelist
 import (
 	"math/bits"
 
+	"wsmalloc/internal/mem"
 	"wsmalloc/internal/span"
 )
 
@@ -52,32 +53,32 @@ func prioritizedListFor(numLists, live int) int {
 }
 
 // frontPick unlinks and returns the front span of the lowest-indexed
-// nonempty list plus its list index, or (nil, -1) when every list is
+// nonempty list plus its list index, or (0, -1) when every list is
 // empty — the pick of the legacy and prioritized policies.
-func frontPick(l *List) (*span.Span, int) {
+func frontPick(l *List) (span.ID, int) {
 	for i := 0; i < len(l.nonempty); i++ {
-		if s := l.nonempty[i].Front(); s != nil {
-			l.nonempty[i].Remove(s)
-			return s, i
+		if id := l.spans.PopFront(&l.nonempty[i]); id != 0 {
+			return id, i
 		}
 	}
-	return nil, -1
+	return 0, -1
 }
 
 // bestFitPick is the BestFit pick: the lowest-address span of the
 // fullest nonempty list.
-func bestFitPick(l *List) (*span.Span, int) {
+func bestFitPick(l *List) (span.ID, int) {
 	for i := 0; i < len(l.nonempty); i++ {
-		var best *span.Span
-		l.nonempty[i].Each(func(s *span.Span) {
-			if best == nil || s.Start < best.Start {
-				best = s
+		var best span.ID
+		var bestStart mem.PageID
+		l.spans.Each(&l.nonempty[i], func(id span.ID, s *span.Span) {
+			if best == 0 || s.Start < bestStart {
+				best, bestStart = id, s.Start
 			}
 		})
-		if best != nil {
-			l.nonempty[i].Remove(best)
+		if best != 0 {
+			l.spans.Remove(&l.nonempty[i], best)
 			return best, i
 		}
 	}
-	return nil, -1
+	return 0, -1
 }

@@ -8,25 +8,30 @@ import (
 
 // encodeSpanList serializes a span list head→tail so the restore path
 // can rebuild the identical iteration order with PushBack.
-func encodeSpanList(e *snapshot.Encoder, l *span.List) {
-	e.Len(l.Len())
-	l.Each(func(s *span.Span) { s.EncodeState(e) })
+func (l *List) encodeSpanList(e *snapshot.Encoder, src *span.List) {
+	e.Len(src.Len())
+	l.spans.Each(src, func(id span.ID, _ *span.Span) { l.spans.EncodeState(e, id) })
 }
 
 func (l *List) decodeSpanList(d *snapshot.Decoder, dst *span.List) {
 	// A span is at least 10 fixed fields (80 bytes) plus its bitmap.
 	n := d.Len(80)
 	for i := 0; i < n; i++ {
-		s := span.DecodeState(d)
-		if s == nil {
+		id := l.spans.DecodeState(d)
+		if id == 0 {
 			if d.Err() == nil {
 				d.Fail("centralfreelist: class %d span %d fails geometry validation",
 					l.class.Index, i)
 			}
 			return
 		}
-		dst.PushBack(s)
-		l.pm.SetRange(s.Start, s.Pages, s)
+		s := l.spans.At(id)
+		if s.ClassIndex != l.class.Index {
+			d.Fail("centralfreelist: class %d list holds a class-%d span", l.class.Index, s.ClassIndex)
+			return
+		}
+		l.spans.PushBack(dst, id)
+		l.pm.SetRange(s.Start, s.Pages, uint32(id), l.tag)
 	}
 }
 
@@ -44,9 +49,9 @@ func (l *List) EncodeState(e *snapshot.Encoder) {
 	e.I64(l.nextSeq)
 	e.Len(len(l.nonempty))
 	for i := range l.nonempty {
-		encodeSpanList(e, &l.nonempty[i])
+		l.encodeSpanList(e, &l.nonempty[i])
 	}
-	encodeSpanList(e, &l.full)
+	l.encodeSpanList(e, &l.full)
 }
 
 // DecodeState restores state saved by EncodeState into a list freshly

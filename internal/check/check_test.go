@@ -1,6 +1,9 @@
 package check
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestShadowCleanAllocFree(t *testing.T) {
 	s := NewShadowHeap(DefaultConfig())
@@ -154,5 +157,30 @@ func TestCountByKind(t *testing.T) {
 	m := CountByKind(vs)
 	if m[KindDoubleFree] != 2 || m[KindAccounting] != 1 {
 		t.Fatalf("CountByKind = %v", m)
+	}
+}
+
+func TestPointerPath(t *testing.T) {
+	type inner struct {
+		a [2]uint64
+		s []byte
+	}
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{struct{ a, b uint32 }{}, ""},
+		{[4][2]int64{}, ""},
+		{struct{ x [3]inner }{}, "T.x[].s (slice)"},
+		{struct {
+			n int
+			p *int
+		}{}, "T.p (ptr)"},
+		{struct{ s string }{}, "T.s (string)"},
+		{[0]*int{}, ""},
+	} {
+		if got := PointerPath(reflect.TypeOf(c.v), "T"); got != c.want {
+			t.Errorf("PointerPath(%T) = %q, want %q", c.v, got, c.want)
+		}
 	}
 }

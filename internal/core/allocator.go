@@ -48,8 +48,11 @@ type Allocator struct {
 	// checkpoints and resumes transparently.
 	design string
 
-	os       *mem.OS
-	pagemap  *mem.PageMap[*span.Span]
+	os *mem.OS
+	// spans is the machine's span slab: every central-free-list span and
+	// every live large span, addressed by the IDs the pagemap holds.
+	spans    span.Slab
+	pagemap  *mem.PageMap
 	heap     *pageheap.PageHeap
 	cfls     []*centralfreelist.List
 	transfer *transfercache.TransferCaches
@@ -113,13 +116,13 @@ func New(cfg Config, topo *topology.Topology) *Allocator {
 		vmap:    topology.NewVCPUMap(topo),
 		table:   sizeclass.NewTable(),
 		os:      mem.NewOS(),
-		pagemap: mem.NewPageMap[*span.Span](),
+		pagemap: mem.NewPageMap(),
 	}
 	a.heap = pageheap.New(a.os, cfg.PageHeap)
 	n := a.table.NumClasses()
 	a.cfls = make([]*centralfreelist.List, n)
 	for i := 0; i < n; i++ {
-		a.cfls[i] = centralfreelist.New(a.table.Class(i), cfg.CFL, a.heap, a.pagemap)
+		a.cfls[i] = centralfreelist.New(a.table.Class(i), cfg.CFL, a.heap, &a.spans, a.pagemap)
 	}
 	tcfg := cfg.Transfer
 	if tcfg.Policy.UsesDomains() {
@@ -376,14 +379,15 @@ func (a *Allocator) malloc(size, cpu int, largeLT pageheap.Lifetime) (uint64, fl
 			return 0, cost, fmt.Errorf("core: malloc of %d bytes (%d pages): %w",
 				size, pages, err)
 		}
-		s := span.New(start, pages, span.LargeClass, pages*mem.PageSize, 1)
+		id := a.spans.New(start, pages, span.LargeClass, pages*mem.PageSize, 1)
+		s := a.spans.At(id)
 		s.BornAt = a.now
-		got, ok := s.Allocate()
+		got, ok := a.spans.Allocate(id)
 		if !ok {
 			panic("core: fresh large span full")
 		}
 		addr = got
-		a.pagemap.SetRange(start, pages, s)
+		a.pagemap.SetRange(start, pages, uint32(id), span.ClassTag(span.LargeClass))
 		a.t.timePageHeap += lat.PageHeap
 		cost += lat.PageHeap
 		if d := a.os.MmapCalls() - mmaps; d > 0 {
@@ -472,9 +476,10 @@ func (a *Allocator) Free(addr uint64, size, cpu int) float64 {
 func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 	lat := &a.cfg.Latency
 
-	p := mem.PageID(addr >> mem.PageShift)
-	s, ok := a.pagemap.Get(p)
-	if !ok {
+	// The pagemap caches each page's size class, so a small free never
+	// touches its span here.
+	id, tag := a.pagemap.Lookup(mem.PageID(addr >> mem.PageShift))
+	if id == 0 {
 		kind := check.KindUnknownFree
 		if a.shadow != nil {
 			if v, tracked := a.shadow.CheckFree(addr, size, span.LargeClass); v != nil && tracked {
@@ -484,8 +489,9 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 		a.t.freeErrors++
 		return 0, fmt.Errorf("core: free of unknown address %#x (%s): %w", addr, kind, ErrBadFree)
 	}
+	class := span.TagClass(tag)
 	if a.shadow != nil {
-		if v, tracked := a.shadow.CheckFree(addr, size, s.ClassIndex); v != nil && tracked {
+		if v, tracked := a.shadow.CheckFree(addr, size, class); v != nil && tracked {
 			a.t.freeErrors++
 			return 0, fmt.Errorf("core: free of %#x rejected (%s): %w", addr, v.Kind, ErrBadFree)
 		}
@@ -494,8 +500,9 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 	cost := lat.Other
 	a.t.timeOther += lat.Other
 	a.t.frees++
-	if s.ClassIndex == span.LargeClass {
-		s.FreeAddr(addr)
+	if class == span.LargeClass {
+		s := a.spans.At(span.ID(id))
+		a.spans.FreeAddr(span.ID(id), addr)
 		a.pagemap.ClearRange(s.Start, s.Pages)
 		a.heap.Free(s.Start, s.Pages)
 		a.t.timePageHeap += lat.PageHeap
@@ -503,8 +510,9 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 		a.t.liveRounded -= s.Bytes()
 		a.t.largeLiveRounded -= s.Bytes()
 		a.t.largeLiveBytes -= int64(size)
+		a.spans.Release(span.ID(id))
 	} else {
-		classSize := a.table.ClassSize(s.ClassIndex)
+		classSize := a.table.ClassSize(class)
 		if size > classSize {
 			a.t.frees--
 			a.t.freeErrors++
@@ -513,7 +521,7 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 		}
 		vcpu := a.vmap.Assign(cpu)
 		start := a.timeSnapshot()
-		hit := a.front.Free(vcpu, s.ClassIndex, addr)
+		hit := a.front.Free(vcpu, class, addr)
 		a.t.timeCPUCache += lat.CPUCache
 		cost += lat.CPUCache
 		if !hit {

@@ -4,19 +4,57 @@ import (
 	"testing"
 
 	"wsmalloc/internal/check"
+	"wsmalloc/internal/mem"
 	"wsmalloc/internal/rng"
+	"wsmalloc/internal/span"
 	"wsmalloc/internal/topology"
 )
 
-// FuzzPooledNodeReuse targets the allocation-churn freelists added to
-// the hot path (span structs in the central free lists, hugepage
-// trackers in the filler): the tape is biased toward whole-span churn —
-// allocate a burst of same-class objects, free the whole burst so the
-// span drains and its struct is pooled, then immediately reallocate so
-// the pooled struct is recycled. Under the full-coverage shadow heap
-// any aliasing between a recycled node and a live one shows up as an
-// overlap/double-alloc violation, and CheckInvariants cross-audits
-// every tier's structural state. Run with -race in scripts/verify.sh.
+// checkSpanIDs asserts the span slab's reuse contract across the
+// allocator: while an ID is free (its slot is zeroed, so Pages is 0) no
+// page names it, every mapped page names an in-use span covering it
+// with the span's class byte, and the slab's in-use count equals the
+// spans the central free lists hold plus the large spans the page map
+// names — so no list holds a freed ID either (CheckInvariants also
+// reports a zeroed span on a list).
+func checkSpanIDs(t *testing.T, a *Allocator) {
+	t.Helper()
+	large := map[span.ID]bool{}
+	a.pagemap.EachSet(func(p mem.PageID, raw uint32) {
+		id := span.ID(raw)
+		s := a.spans.At(id)
+		if s.Pages == 0 {
+			t.Fatalf("page %#x names free span ID %d", p, id)
+		}
+		if p < s.Start || p >= s.Start+mem.PageID(s.Pages) {
+			t.Fatalf("page %#x names span ID %d at [%#x, +%d)", p, id, s.Start, s.Pages)
+		}
+		if _, tag := a.pagemap.Lookup(p); tag != span.ClassTag(s.ClassIndex) {
+			t.Fatalf("page %#x caches class %d, its span is class %d", p, span.TagClass(tag), s.ClassIndex)
+		}
+		if s.ClassIndex == span.LargeClass {
+			large[id] = true
+		}
+	})
+	inUse := len(large)
+	for _, l := range a.cfls {
+		inUse += l.Stats().Spans
+	}
+	if inUse != a.spans.Len() {
+		t.Fatalf("%d spans listed or mapped large, slab has %d in use", inUse, a.spans.Len())
+	}
+}
+
+// FuzzPooledNodeReuse targets the ID and node free lists on the hot path
+// (span IDs in the slab, hugepage trackers in the filler): the tape is
+// biased toward whole-span churn — allocate a burst of same-class
+// objects, free the whole burst so the span drains and its ID is freed,
+// then immediately reallocate so the freed ID is reused. Under the
+// full-coverage shadow heap any aliasing between a reused span and a
+// live one shows up as an overlap/double-alloc violation, checkSpanIDs
+// proves no page or list still names a freed ID, and CheckInvariants
+// cross-audits every tier's structural state. Run with -race in
+// scripts/verify.sh.
 func FuzzPooledNodeReuse(f *testing.F) {
 	f.Add([]byte{8, 0, 8, 1, 8, 2, 8, 3})
 	f.Add([]byte{16, 7, 0, 0, 16, 7, 255, 9, 16, 7})
@@ -65,6 +103,7 @@ func FuzzPooledNodeReuse(f *testing.F) {
 						t.Fatalf("op %d: TryFree(%#x, %d): %v", i, addr, b.size, err)
 					}
 				}
+				checkSpanIDs(t, a)
 			case 3: // background work: decay, subrelease (tracker churn)
 				now += 10e6
 				a.Tick(now)
@@ -74,6 +113,7 @@ func FuzzPooledNodeReuse(f *testing.F) {
 		if vs := a.CheckInvariants(); len(vs) != 0 {
 			t.Fatalf("audit violations under pooled churn: %v", vs)
 		}
+		checkSpanIDs(t, a)
 		// Explicit no-aliasing assertion on top of the shadow heap: no
 		// two live objects may share an address.
 		seen := make(map[uint64]bool)
@@ -100,6 +140,7 @@ func FuzzPooledNodeReuse(f *testing.F) {
 		if st := a.Stats(); st.LiveObjects != 0 {
 			t.Fatalf("heap not empty after teardown: %d live", st.LiveObjects)
 		}
+		checkSpanIDs(t, a)
 	})
 }
 

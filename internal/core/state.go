@@ -66,15 +66,15 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 	// Large spans are registered only in the pagemap; enumerate them in
 	// ascending page order (each span appears once, at its start page).
 	e.Section("core.large")
-	var large []*span.Span
-	a.pagemap.EachSet(func(p mem.PageID, s *span.Span) {
-		if s.ClassIndex == span.LargeClass && p == s.Start {
-			large = append(large, s)
+	var large []span.ID
+	a.pagemap.EachSet(func(p mem.PageID, id uint32) {
+		if s := a.spans.At(span.ID(id)); s.ClassIndex == span.LargeClass && p == s.Start {
+			large = append(large, span.ID(id))
 		}
 	})
 	e.Len(len(large))
-	for _, s := range large {
-		s.EncodeState(e)
+	for _, id := range large {
+		a.spans.EncodeState(e, id)
 	}
 
 	a.transfer.EncodeState(e)
@@ -155,18 +155,19 @@ func (a *Allocator) DecodeState(d *snapshot.Decoder) error {
 	d.Section("core.large")
 	n := d.Len(80)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		s := span.DecodeState(d)
-		if s == nil {
+		id := a.spans.DecodeState(d)
+		if id == 0 {
 			if d.Err() == nil {
 				d.Fail("core: large span %d fails geometry validation", i)
 			}
 			break
 		}
+		s := a.spans.At(id)
 		if s.ClassIndex != span.LargeClass {
 			d.Fail("core: span at %#x in large table has class %d", s.Start.Addr(), s.ClassIndex)
 			break
 		}
-		a.pagemap.SetRange(s.Start, s.Pages, s)
+		a.pagemap.SetRange(s.Start, s.Pages, uint32(id), span.ClassTag(span.LargeClass))
 	}
 
 	a.transfer.DecodeState(d)

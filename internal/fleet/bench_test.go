@@ -47,6 +47,7 @@ func BenchmarkFleetAB(b *testing.B) {
 			opts.DurationNs = 10 * workload.Millisecond
 			opts.Workers = j
 			var machines int
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res := f.ABTest(core.BaselineConfig(), core.OptimizedConfig(), opts)

@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"wsmalloc/internal/core"
@@ -727,12 +729,19 @@ func (f *Fleet) ABTestErr(control, experiment core.Config, opts ABOptions) (ABRe
 	idx := sampleIndices(len(f.Machines), opts)
 	outcomes := make([]machineOutcome, len(idx))
 	// One tape per worker, lent to each pair in turn, so workers reuse
-	// tape storage (about 32 bytes per malloc of a run) across pairs.
+	// tape storage (about 32 bytes per malloc of a run) across pairs;
+	// the tapes come from and return to tapePool, so a caller that runs
+	// one machine per call reuses them across calls too.
 	workers := sched.DefaultWorkers(opts.Workers)
 	tapes := make(chan *workload.Tape, workers)
 	for range workers {
-		tapes <- new(workload.Tape)
+		tapes <- tapePool.get()
 	}
+	defer func() {
+		for range workers {
+			tapePool.put(<-tapes)
+		}
+	}()
 	sup := &sched.Supervisor{
 		Policy: opts.Retry,
 		Sleep:  opts.RetrySleep,
@@ -774,6 +783,39 @@ func (f *Fleet) ABTestErr(control, experiment core.Config, opts ABOptions) (ABRe
 			halted, len(idx), opts.Checkpoint.KillAtFrac*100, ErrHalted)
 	}
 	return mergeOutcomes(outcomes, opts), nil
+}
+
+// tapePool keeps recorded tapes between ABTestErr calls. Recording
+// resets every column, so a reused tape records exactly what a fresh one
+// would; reuse only spares allocating and zeroing a tape per call.
+var tapePool tapeFreeList
+
+// tapeFreeList is a mutex-guarded free list of tapes, bounded at
+// GOMAXPROCS (the default worker count) so an idle pool holds at most
+// one tape per CPU.
+type tapeFreeList struct {
+	mu   sync.Mutex
+	free []*workload.Tape
+}
+
+func (l *tapeFreeList) get() *workload.Tape {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		t := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return t
+	}
+	return new(workload.Tape)
+}
+
+func (l *tapeFreeList) put(t *workload.Tape) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, t)
+	}
 }
 
 // ABTest runs a paired fleet experiment comparing two configurations.

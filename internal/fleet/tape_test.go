@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"wsmalloc/internal/core"
@@ -207,5 +208,25 @@ func TestReplayRefusalRerunsLive(t *testing.T) {
 	if !reflect.DeepEqual(live, taped) {
 		t.Fatalf("after %d stopped replays, taped ABResult differs from live:\nlive  %s\ntaped %s",
 			stopped, live.Fleet, taped.Fleet)
+	}
+}
+
+// TestTapePoolIsBounded: the free list hands back the tapes put into it,
+// most recent first, and keeps at most GOMAXPROCS of them.
+func TestTapePoolIsBounded(t *testing.T) {
+	var l tapeFreeList
+	n := runtime.GOMAXPROCS(0)
+	tapes := make([]*workload.Tape, n+2)
+	for i := range tapes {
+		tapes[i] = l.get()
+	}
+	for _, tp := range tapes {
+		l.put(tp)
+	}
+	if len(l.free) != n {
+		t.Fatalf("free list holds %d tapes, want the GOMAXPROCS bound %d", len(l.free), n)
+	}
+	if got := l.get(); got != tapes[n-1] {
+		t.Fatal("get did not reuse the most recently kept tape")
 	}
 }

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"math/bits"
 	"slices"
 
 	"wsmalloc/internal/snapshot"
@@ -87,25 +86,22 @@ func (o *OS) DecodeState(d *snapshot.Decoder) {
 	o.faults = f
 }
 
-// EachSet visits every mapped page in ascending PageID order. The
-// restore path uses it to re-derive the pagemap's large-span entries
-// without serializing the radix tree itself.
-func (m *PageMap[T]) EachSet(fn func(p PageID, v T)) {
-	for ri, mid := range m.root {
-		if mid == nil {
+// EachSet visits every mapped page in ascending PageID order with its
+// span ID. The restore path uses it to re-derive the pagemap's
+// large-span entries without serializing the radix tree itself.
+func (m *PageMap) EachSet(fn func(p PageID, id uint32)) {
+	for ri, mid := range m.root[:] {
+		if mid == 0 {
 			continue
 		}
-		for mi, leaf := range mid.leaves {
-			if leaf == nil {
+		for mi, leaf := range m.mids[mid].leaves[:] {
+			if leaf == 0 {
 				continue
 			}
 			base := PageID(ri)<<(pmMidBits+pmLeafBits) | PageID(mi)<<pmLeafBits
-			for word := range leaf.set {
-				w := leaf.set[word]
-				for w != 0 {
-					li := word*64 + bits.TrailingZeros64(w)
-					fn(base|PageID(li), leaf.values[li])
-					w &= w - 1
+			for li, id := range m.leaf(leaf).ids[:] {
+				if id != 0 {
+					fn(base|PageID(li), id)
 				}
 			}
 		}

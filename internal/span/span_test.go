@@ -1,21 +1,44 @@
 package span
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"wsmalloc/internal/check"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/rng"
 )
 
-func newTestSpan(capacity int) *Span {
-	// 16B objects on one 8 KiB page unless capacity forces otherwise.
+// newTestID places a span of the given capacity in sl: 16B objects on
+// one 8 KiB page unless capacity forces otherwise.
+func newTestID(sl *Slab, capacity int) ID {
 	objSize := 16
 	pages := (capacity*objSize + mem.PageSize - 1) / mem.PageSize
 	if pages == 0 {
 		pages = 1
 	}
-	return New(mem.PageID(1000), pages, 3, objSize, capacity)
+	return sl.New(mem.PageID(1000), pages, 3, objSize, capacity)
+}
+
+// testSpan is a span and its slab, with the slab's per-span operations
+// as methods.
+type testSpan struct {
+	*Span
+	sl *Slab
+	id ID
+}
+
+func (t testSpan) Allocate() (uint64, bool)     { return t.sl.Allocate(t.id) }
+func (t testSpan) FreeAddr(addr uint64)         { t.sl.FreeAddr(t.id, addr) }
+func (t testSpan) IsAllocated(addr uint64) bool { return t.sl.IsAllocated(t.id, addr) }
+
+func spanIn(sl *Slab, id ID) testSpan { return testSpan{sl.At(id), sl, id} }
+
+// newTestSpan places a span in a slab of its own.
+func newTestSpan(capacity int) testSpan {
+	sl := new(Slab)
+	return spanIn(sl, newTestID(sl, capacity))
 }
 
 func TestAllocateFreeRoundTrip(t *testing.T) {
@@ -118,14 +141,16 @@ func TestReuseAfterFree(t *testing.T) {
 }
 
 func TestBytesAccounting(t *testing.T) {
-	s := New(mem.PageID(0), 2, 5, 100, 163)
+	var sl Slab
+	s := sl.At(sl.New(mem.PageID(0), 2, 5, 100, 163))
 	if s.Bytes() != 2*mem.PageSize {
 		t.Fatalf("Bytes = %d", s.Bytes())
 	}
 }
 
 func TestLargeSpan(t *testing.T) {
-	s := New(mem.PageID(64), 40, LargeClass, 40*mem.PageSize, 1)
+	sl := new(Slab)
+	s := spanIn(sl, sl.New(mem.PageID(64), 40, LargeClass, 40*mem.PageSize, 1))
 	a, ok := s.Allocate()
 	if !ok || a != mem.PageID(64).Addr() {
 		t.Fatalf("large span alloc = %#x, %v", a, ok)
@@ -141,15 +166,19 @@ func TestLargeSpan(t *testing.T) {
 
 func TestInvalidSpanPanics(t *testing.T) {
 	for _, c := range []struct{ pages, objSize, capacity int }{
-		{0, 8, 1}, {1, 0, 1}, {1, 8, 0},
+		{0, 8, 1}, {1, 0, 1}, {1, 8, 0}, {1, 8, MaxObjects + 1},
 	} {
 		func() {
+			var sl Slab
 			defer func() {
 				if recover() == nil {
 					t.Errorf("New(%+v) should panic", c)
 				}
+				if sl.Len() != 0 {
+					t.Errorf("New(%+v) placed a span before panicking", c)
+				}
 			}()
-			New(0, c.pages, 0, c.objSize, c.capacity)
+			sl.New(0, c.pages, 0, c.objSize, c.capacity)
 		}()
 	}
 }
@@ -184,49 +213,52 @@ func TestAllocateFreeProperty(t *testing.T) {
 }
 
 func TestListPushRemove(t *testing.T) {
+	var sl Slab
 	var l List
-	s1, s2, s3 := newTestSpan(8), newTestSpan(8), newTestSpan(8)
-	l.PushFront(s1)
-	l.PushFront(s2)
-	l.PushBack(s3)
+	s1, s2, s3 := newTestID(&sl, 8), newTestID(&sl, 8), newTestID(&sl, 8)
+	sl.PushFront(&l, s1)
+	sl.PushFront(&l, s2)
+	sl.PushBack(&l, s3)
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
 	if l.Front() != s2 {
 		t.Fatal("Front wrong")
 	}
-	var order []*Span
-	l.Each(func(s *Span) { order = append(order, s) })
+	var order []ID
+	sl.Each(&l, func(id ID, _ *Span) { order = append(order, id) })
 	if order[0] != s2 || order[1] != s1 || order[2] != s3 {
 		t.Fatal("list order wrong")
 	}
-	l.Remove(s1) // middle
-	if l.Len() != 2 || s1.InList() {
+	sl.Remove(&l, s1) // middle
+	if l.Len() != 2 || sl.At(s1).InList() {
 		t.Fatal("remove middle failed")
 	}
-	if got := l.PopFront(); got != s2 {
+	if got := sl.PopFront(&l); got != s2 {
 		t.Fatal("PopFront wrong")
 	}
-	l.Remove(s3) // only element
+	sl.Remove(&l, s3) // only element
 	if !l.Empty() {
 		t.Fatal("list should be empty")
 	}
-	if l.PopFront() != nil {
-		t.Fatal("PopFront on empty should be nil")
+	if sl.PopFront(&l) != 0 {
+		t.Fatal("PopFront on empty should be 0")
 	}
 }
 
 func TestListMembershipPanics(t *testing.T) {
+	var sl Slab
 	var a, b List
-	s := newTestSpan(8)
-	a.PushFront(s)
+	s := newTestID(&sl, 8)
+	sl.PushFront(&a, s)
+	sl.PushFront(&b, newTestID(&sl, 8))
 	t.Run("double insert", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
 				t.Fatal("expected panic")
 			}
 		}()
-		b.PushFront(s)
+		sl.PushFront(&b, s)
 	})
 	t.Run("remove from wrong list", func(t *testing.T) {
 		defer func() {
@@ -234,26 +266,27 @@ func TestListMembershipPanics(t *testing.T) {
 				t.Fatal("expected panic")
 			}
 		}()
-		b.Remove(s)
+		sl.Remove(&b, s)
 	})
 }
 
 func TestListMoveBetweenLists(t *testing.T) {
+	var sl Slab
 	var a, b List
-	spans := make([]*Span, 10)
+	spans := make([]ID, 10)
 	for i := range spans {
-		spans[i] = newTestSpan(8)
-		a.PushBack(spans[i])
+		spans[i] = newTestID(&sl, 8)
+		sl.PushBack(&a, spans[i])
 	}
 	for !a.Empty() {
-		b.PushBack(a.PopFront())
+		sl.PushBack(&b, sl.PopFront(&a))
 	}
 	if b.Len() != 10 || a.Len() != 0 {
 		t.Fatalf("a=%d b=%d", a.Len(), b.Len())
 	}
 	i := 0
-	b.Each(func(s *Span) {
-		if s != spans[i] {
+	sl.Each(&b, func(id ID, _ *Span) {
+		if id != spans[i] {
 			t.Fatalf("order broken at %d", i)
 		}
 		i++
@@ -275,12 +308,16 @@ func BenchmarkAllocateFree(b *testing.B) {
 	}
 }
 
-// TestRecycleMatchesFreshSpan drains a span, recycles it at a new
-// placement, and checks the recycled struct reproduces a fresh span's
-// exact allocation sequence — the property that lets the central free
-// list pool span structs without breaking bit-identical goldens.
+// TestRecycleMatchesFreshSpan drains a span, releases its ID and places
+// a new span, and checks the slab hands back the same ID with a span
+// that reproduces a fresh span's exact allocation sequence — the
+// property that lets the slab reuse IDs without breaking bit-identical
+// goldens.
 func TestRecycleMatchesFreshSpan(t *testing.T) {
-	s := newTestSpan(64)
+	sl := new(Slab)
+	other := newTestID(sl, 64)
+	id := newTestID(sl, 64)
+	s := spanIn(sl, id)
 	var first []uint64
 	for i := 0; i < 64; i++ {
 		a, ok := s.Allocate()
@@ -293,36 +330,71 @@ func TestRecycleMatchesFreshSpan(t *testing.T) {
 	for i := range first {
 		s.FreeAddr(first[(i*13+5)%64])
 	}
+	s.Seq, s.BornAt = 9, 99
 	oldStart := s.Start
-	start2 := s.Start + mem.PageID(128)
-	s.Recycle(start2)
-	if s.Live() != 0 || s.Seq != 0 || s.BornAt != 0 || s.Start != start2 {
-		t.Fatalf("recycle left dirty state: %+v", s)
+	// Released second, id's bitmap slot heads the free list and holds a
+	// link to other's slot, which reuse must clear.
+	sl.Release(other)
+	sl.Release(id)
+	if sl.Len() != 0 {
+		t.Fatalf("Len = %d after Release", sl.Len())
+	}
+	start2 := oldStart + mem.PageID(128)
+	id2 := sl.New(start2, 1, 3, 16, 64)
+	if id2 != id || sl.Cap() != 2 {
+		t.Fatalf("New after Release placed ID %d (slab cap %d), want the released ID %d", id2, sl.Cap(), id)
+	}
+	s = spanIn(sl, id2)
+	if s.Live() != 0 || s.Seq != 0 || s.BornAt != 0 || s.Start != start2 || s.InList() {
+		t.Fatalf("reused ID left dirty state: %+v", *s.Span)
 	}
 	for i := 0; i < 64; i++ {
 		a, ok := s.Allocate()
 		if !ok {
-			t.Fatalf("post-recycle alloc %d failed", i)
+			t.Fatalf("post-reuse alloc %d failed", i)
 		}
 		if a-start2.Addr() != first[i]-oldStart.Addr() {
-			t.Fatalf("alloc %d: recycled offset %#x, fresh offset %#x",
+			t.Fatalf("alloc %d: reused offset %#x, fresh offset %#x",
 				i, a-start2.Addr(), first[i]-oldStart.Addr())
 		}
 	}
 }
 
-// TestRecycleRejectsLiveSpan checks the safety interlock: recycling a
-// span that still has live objects (or sits on a list) must panic
-// rather than silently alias live memory.
+// TestRecycleRejectsLiveSpan checks the safety interlock: releasing a
+// span that still has live objects, sits on a list, was already
+// released, or is the reserved ID 0 must panic rather than let a span's
+// ID be handed out twice.
 func TestRecycleRejectsLiveSpan(t *testing.T) {
-	s := newTestSpan(8)
-	if _, ok := s.Allocate(); !ok {
+	var sl Slab
+	live := newTestID(&sl, 8)
+	if _, ok := sl.Allocate(live); !ok {
 		t.Fatal("alloc failed")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Recycle of a live span did not panic")
-		}
-	}()
-	s.Recycle(s.Start)
+	linked := newTestID(&sl, 8)
+	var l List
+	sl.PushFront(&l, linked)
+	released := newTestID(&sl, 8)
+	sl.Release(released)
+	for _, id := range []ID{live, linked, released, 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Release(%d) did not panic", id)
+				}
+			}()
+			sl.Release(id)
+		}()
+	}
+	if sl.Len() != 2 {
+		t.Fatalf("Len = %d after refused releases", sl.Len())
+	}
+}
+
+// TestSpanHoldsNoPointers pins the arena contract: a span holds no Go
+// pointers, so the slab is one pointer-free slice the garbage collector
+// never scans.
+func TestSpanHoldsNoPointers(t *testing.T) {
+	if p := check.PointerPath(reflect.TypeOf(Span{}), "Span"); p != "" {
+		t.Fatalf("span.Span holds a Go pointer at %s", p)
+	}
 }

@@ -5,10 +5,11 @@ import (
 	"wsmalloc/internal/snapshot"
 )
 
-// EncodeState serializes one span's full occupancy state. List linkage
-// is not serialized — the owning tier re-links restored spans in its
-// own list order.
-func (s *Span) EncodeState(e *snapshot.Encoder) {
+// EncodeState serializes span id's full occupancy state. List linkage
+// and the slab ID are not serialized — the owning tier re-places
+// restored spans and re-links them in its own list order.
+func (sl *Slab) EncodeState(e *snapshot.Encoder, id ID) {
+	s := sl.At(id)
 	e.U64(uint64(s.Start))
 	e.Int(s.Pages)
 	e.Int(s.ClassIndex)
@@ -18,16 +19,19 @@ func (s *Span) EncodeState(e *snapshot.Encoder) {
 	e.Int(s.hint)
 	e.I64(s.BornAt)
 	e.I64(s.Seq)
-	e.Len(len(s.bitmap))
-	for _, w := range s.bitmap {
+	bm := sl.bits(s)
+	e.Len(len(bm))
+	for _, w := range bm {
 		e.U64(w)
 	}
 }
 
-// DecodeState reconstructs a span saved by EncodeState, validating the
-// geometry so a corrupted blob cannot build a span that panics later.
-func DecodeState(d *snapshot.Decoder) *Span {
-	s := &Span{}
+// DecodeState places a span saved by EncodeState in the slab and
+// returns its ID, validating the geometry so a corrupted blob cannot
+// build a span that panics later. It returns 0, placing nothing, when
+// the span is invalid or the decoder has failed.
+func (sl *Slab) DecodeState(d *snapshot.Decoder) ID {
+	var s Span
 	start := d.U64()
 	s.Pages = d.Int()
 	s.ClassIndex = d.Int()
@@ -39,20 +43,25 @@ func DecodeState(d *snapshot.Decoder) *Span {
 	s.Seq = d.I64()
 	n := d.Len(8)
 	if d.Err() != nil {
-		return nil
+		return 0
 	}
-	if s.Pages <= 0 || s.ObjSize <= 0 || s.capacity <= 0 ||
+	if s.Pages <= 0 || s.ObjSize <= 0 || s.capacity <= 0 || s.capacity > MaxObjects ||
 		s.live < 0 || s.live > s.capacity ||
-		n != (s.capacity+63)/64 || s.hint < 0 || s.hint >= n {
-		return nil
+		n != s.words() || s.hint < 0 || s.hint >= n {
+		return 0
 	}
 	s.Start = mem.PageID(start)
-	s.bitmap = make([]uint64, n)
-	for i := range s.bitmap {
-		s.bitmap[i] = d.U64()
+	var words [MaxObjects / 64]uint64
+	for i := range n {
+		words[i] = d.U64()
 	}
 	if d.Err() != nil {
-		return nil
+		return 0
 	}
-	return s
+	id := sl.New(s.Start, s.Pages, s.ClassIndex, s.ObjSize, s.capacity)
+	t := sl.At(id)
+	s.bitmap = t.bitmap
+	*t = s
+	copy(sl.bits(t), words[:n])
+	return id
 }

@@ -143,20 +143,6 @@ type object struct {
 	size int
 }
 
-// deathBucketNs is the granularity of the death wheel.
-const deathBucketNs = 100 * Microsecond
-
-// wheelRingSize is the number of near-future death buckets kept in a
-// flat ring — ~410 ms of virtual time, past the warped lifetime of
-// almost every object, so the per-op schedule/drain path is two slice
-// ops instead of map traffic (the map was a top entry in fleet CPU
-// profiles). Deaths beyond the window overflow into wheelFar. Power of
-// two so the slot index is a mask.
-const (
-	wheelRingSize = 4096
-	wheelMask     = wheelRingSize - 1
-)
-
 // Driver runs a profile against an allocator. All run-position state
 // lives in fields (not Run locals) so a driver can be serialized at a
 // checkpoint and resumed, or rebound to a fresh allocator after a
@@ -180,24 +166,11 @@ type Driver struct {
 	gapNs  float64
 	cpuSet int
 	warp   rng.Warp
-	// The death wheel: slot b&wheelMask of wheelRing holds bucket b's
-	// objects while b is inside [curBucket, curBucket+wheelRingSize);
-	// later buckets live in wheelFar until the window reaches them.
-	// In-bucket insertion order — which free replay depends on — is
-	// far entries first, then ring entries: every far insert for a
-	// bucket happens strictly before the window (which only moves
-	// forward) admits that bucket's ring inserts.
-	wheelRing [][]object
-	wheelFar  map[int64][]object
-	curBucket int64
+	// wheel schedules every object allocated in-run by death bucket;
+	// its free order is part of the determinism contract.
+	wheel     *deathWheel
 	liveCount int64
 	preloaded []object
-
-	// bucketPool stashes the storage of consumed far-wheel buckets for
-	// reuse (ring slots keep their storage in place). Purely an
-	// allocation cache: it never holds live objects and is not part of
-	// the serialized driver state.
-	bucketPool [][]object
 
 	started    bool
 	halted     bool
@@ -243,16 +216,15 @@ func NewDriver(p Profile, a *core.Allocator, opts Options) *Driver {
 	dyn := p.Threads
 	dyn.PeriodNs = opts.DynamicsPeriodNs
 	d := &Driver{
-		profile:   p,
-		alloc:     a,
-		opts:      opts,
-		r:         rng.New(opts.Seed),
-		dyn:       dyn,
-		warp:      rng.NewWarp(float64(opts.TimeWarpCutoffNs), opts.TimeWarpGamma),
-		rec:       opts.Record,
-		play:      opts.Replay,
-		wheelRing: make([][]object, wheelRingSize),
-		wheelFar:  make(map[int64][]object),
+		profile: p,
+		alloc:   a,
+		opts:    opts,
+		r:       rng.New(opts.Seed),
+		dyn:     dyn,
+		warp:    rng.NewWarp(float64(opts.TimeWarpCutoffNs), opts.TimeWarpGamma),
+		rec:     opts.Record,
+		play:    opts.Replay,
+		wheel:   newDeathWheel(),
 	}
 	if d.rec != nil && d.play != nil {
 		panic("workload: Options.Record and Options.Replay are exclusive")
@@ -580,13 +552,7 @@ func (d *Driver) Run() Result {
 		d.liveCount++
 
 		die := d.now + d.drawLifetime(size)
-		bucket := die / deathBucketNs
-		if bucket-d.curBucket < wheelRingSize {
-			slot := bucket & wheelMask
-			d.wheelRing[slot] = append(d.wheelRing[slot], object{addr, size})
-		} else {
-			d.scheduleFar(bucket, object{addr, size})
-		}
+		d.wheel.insert(die/deathBucketNs, object{addr, size})
 	}
 
 	if d.opts.AuditEveryNs > 0 {
@@ -664,12 +630,7 @@ func (d *Driver) Restart(a *core.Allocator) {
 	if hp := a.HeapProfiler(); hp != nil {
 		hp.SetWorkload(d.profile.Name)
 	}
-	for i := range d.wheelRing {
-		if d.wheelRing[i] != nil {
-			d.wheelRing[i] = d.wheelRing[i][:0]
-		}
-	}
-	d.wheelFar = make(map[int64][]object)
+	d.wheel.drain(func([]object) {})
 	d.liveCount = 0
 	d.preloaded = nil
 	d.halted = false
@@ -702,33 +663,12 @@ func (d *Driver) audit() {
 // regularly die on a different CPU (and LLC domain) than they were
 // allocated on — the cross-CPU flow the transfer cache exists for.
 func (d *Driver) processDeaths(now int64) {
-	nowBucket := now / deathBucketNs
-	for b := d.curBucket; b <= nowBucket; b++ {
-		// Far entries precede ring entries in insertion order (see the
-		// wheel fields) — free them first so replay order matches the
-		// single-map wheel bit for bit.
-		if len(d.wheelFar) > 0 {
-			if objs, ok := d.wheelFar[b]; ok {
-				delete(d.wheelFar, b)
-				d.freeBucket(objs)
-				if len(d.bucketPool) < 64 {
-					d.bucketPool = append(d.bucketPool, objs[:0])
-				}
-			}
-		}
-		slot := b & wheelMask
-		if objs := d.wheelRing[slot]; len(objs) > 0 {
-			d.freeBucket(objs)
-			// Ring slots keep their storage in place for bucket b+ring.
-			d.wheelRing[slot] = objs[:0]
-		}
-		d.curBucket = b
-	}
+	d.wheel.advance(now/deathBucketNs, d.freeBucket)
 }
 
-// freeBucket frees one death bucket's objects on randomly chosen
-// currently-active threads (one RNG draw per object — draw order is
-// part of the determinism contract).
+// freeBucket frees a run of one death bucket's objects on randomly
+// chosen currently-active threads (one RNG draw per object — draw order
+// is part of the determinism contract).
 func (d *Driver) freeBucket(objs []object) {
 	for _, o := range objs {
 		cpu := d.cpuForThread(d.drawFreeThread())
@@ -739,47 +679,16 @@ func (d *Driver) freeBucket(objs []object) {
 	}
 }
 
-// inWindow reports whether bucket b lies in the ring's current window
-// [curBucket, curBucket+wheelRingSize), so ring slot b&wheelMask holds it.
-func (d *Driver) inWindow(b int64) bool {
-	return b >= d.curBucket && b-d.curBucket < wheelRingSize
-}
-
-// scheduleFar parks an object whose death bucket is beyond the ring
-// window, recycling consumed far-bucket storage when available.
-func (d *Driver) scheduleFar(bucket int64, o object) {
-	objs, ok := d.wheelFar[bucket]
-	if !ok {
-		if n := len(d.bucketPool); n > 0 {
-			objs = d.bucketPool[n-1]
-			d.bucketPool[n-1] = nil
-			d.bucketPool = d.bucketPool[:n-1]
-		} else {
-			objs = make([]object, 0, 32)
-		}
-	}
-	d.wheelFar[bucket] = append(objs, o)
-}
-
-// DrainRemaining frees every object still scheduled in the wheel plus
-// the preloaded resident heap (used for teardown accounting in tests).
+// DrainRemaining frees every object still scheduled in the wheel, in
+// death-bucket order, plus the preloaded resident heap (used for
+// teardown accounting in tests).
 func (d *Driver) DrainRemaining() {
-	for i, objs := range d.wheelRing {
+	d.wheel.drain(func(objs []object) {
 		for _, o := range objs {
 			d.alloc.Free(o.addr, o.size, 0)
 			d.liveCount--
 		}
-		if objs != nil {
-			d.wheelRing[i] = objs[:0]
-		}
-	}
-	for b, objs := range d.wheelFar {
-		for _, o := range objs {
-			d.alloc.Free(o.addr, o.size, 0)
-			d.liveCount--
-		}
-		delete(d.wheelFar, b)
-	}
+	})
 	for _, o := range d.preloaded {
 		d.alloc.Free(o.addr, o.size, 0)
 	}

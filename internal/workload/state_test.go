@@ -195,10 +195,11 @@ func TestDriverOOMKillRestart(t *testing.T) {
 
 // TestWheelEncodesFarBeforeRing pins the death wheel's encoded order on
 // a hand-built wheel: one entry per populated bucket in ascending bucket
-// order, and a bucket held both in wheelFar and in its ring slot is one
-// entry with the far objects first. The window starts mid-ring, so the
-// walk wraps past slot 0, and far buckets sit before, inside and beyond
-// the window.
+// order, and a bucket held both far and in its ring slot is one entry
+// with the far objects first. The window starts mid-ring, so the walk
+// wraps past slot 0, and far buckets sit before, inside and beyond the
+// window. The wheel is built through the insert path: the far parts are
+// scheduled while the window is still at bucket 0.
 func TestWheelEncodesFarBeforeRing(t *testing.T) {
 	newDriver := func() *Driver {
 		opts := DefaultOptions(5)
@@ -207,23 +208,21 @@ func TestWheelEncodesFarBeforeRing(t *testing.T) {
 		d.setThreads(1)
 		return d
 	}
-	objs := func(addrs ...uint64) []object {
-		var out []object
-		for _, a := range addrs {
-			out = append(out, object{addr: a, size: int(a) * 16})
-		}
-		return out
-	}
+	obj := func(a uint64) object { return object{addr: a, size: int(a) * 16} }
 	d := newDriver()
-	d.curBucket = 5000 // window [5000, 9096) wraps the ring at bucket 8192
-	ring := func(b int64, o []object) { d.wheelRing[b&wheelMask] = o }
-	ring(5000, objs(4))
-	ring(8200, objs(3))
-	ring(9095, objs(5))
-	d.wheelFar[8200] = objs(1, 2) // shared with its ring slot
-	d.wheelFar[6000] = objs(6)    // inside the window, ring slot empty
-	d.wheelFar[20000] = objs(7)   // beyond the window
-	d.wheelFar[4000] = objs(8)    // behind the window
+	w := d.wheel
+	w.insert(8200, obj(1)) // beyond the window [0, 4096): far
+	w.insert(8200, obj(2))
+	w.insert(6000, obj(6))
+	w.insert(20000, obj(7))
+	w.cur = 5000 // window [5000, 9096) wraps the ring at bucket 8192
+	w.insert(5000, obj(4))
+	w.insert(8200, obj(3)) // shared with its far part
+	w.insert(9095, obj(5))
+	w.insert(4000, obj(8)) // behind the window: far
+	if len(w.far) != 4 {
+		t.Fatalf("insert path left %d far buckets, want 4", len(w.far))
+	}
 	d.liveCount = 8
 
 	var e snapshot.Encoder
@@ -231,7 +230,7 @@ func TestWheelEncodesFarBeforeRing(t *testing.T) {
 	blob := e.Finish()
 
 	// Decoding routes every in-window bucket to its ring slot, merging a
-	// shared bucket into one list in encoded order.
+	// shared bucket into one chain in encoded order.
 	back := newDriver()
 	dec, err := snapshot.NewDecoder(blob)
 	if err != nil {
@@ -245,31 +244,30 @@ func TestWheelEncodesFarBeforeRing(t *testing.T) {
 		addrs  []uint64
 	}
 	var got []entry
-	add := func(b int64, o []object) {
+	add := func(b int64, c chain) {
 		en := entry{bucket: b}
-		for _, x := range o {
-			if x.size != int(x.addr)*16 {
-				t.Fatalf("bucket %d: object %d restored with size %d", b, x.addr, x.size)
+		back.wheel.walk(c, func(objs []object) {
+			for _, x := range objs {
+				if x.size != int(x.addr)*16 {
+					t.Fatalf("bucket %d: object %d restored with size %d", b, x.addr, x.size)
+				}
+				en.addrs = append(en.addrs, x.addr)
 			}
-			en.addrs = append(en.addrs, x.addr)
-		}
-		got = append(got, en)
-	}
-	if o := back.wheelFar[4000]; len(o) > 0 {
-		add(4000, o)
-	}
-	for b := back.curBucket; b < back.curBucket+wheelRingSize; b++ {
-		if o := back.wheelRing[b&wheelMask]; len(o) > 0 {
-			add(b, o)
+		})
+		if len(en.addrs) > 0 {
+			got = append(got, en)
 		}
 	}
-	if o := back.wheelFar[20000]; len(o) > 0 {
-		add(20000, o)
+	bw := back.wheel
+	add(4000, bw.far[4000])
+	for b := bw.cur; b < bw.cur+wheelRingSize; b++ {
+		add(b, bw.ring[b&wheelMask])
 	}
+	add(20000, bw.far[20000])
 	want := []entry{{4000, []uint64{8}}, {5000, []uint64{4}}, {6000, []uint64{6}},
 		{8200, []uint64{1, 2, 3}}, {9095, []uint64{5}}, {20000, []uint64{7}}}
-	if len(back.wheelFar) != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("restored wheel %v (far keys %d), want %v", got, len(back.wheelFar), want)
+	if len(bw.far) != 2 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("restored wheel %v (far keys %d), want %v", got, len(bw.far), want)
 	}
 
 	// The restored wheel holds the same buckets in the same order, so it

@@ -5,7 +5,8 @@
 # (which covers the parallel fleet/experiment execution engine, its
 # determinism-equivalence tests, and the heap-profiler tests), a short
 # fuzz smoke on the fuzz targets (size classes, alloc/free, the profdiff
-# parser, the profile-warehouse codec, workload tape record/replay), a benchmark regression smoke (cmd/benchgate gates the fleet
+# parser, the profile-warehouse codec, workload tape record/replay, the
+# death wheel against a reference map wheel), a benchmark regression smoke (cmd/benchgate gates the fleet
 # A/B, nil-sink telemetry, hot-loop, and daemon-tick throughput against
 # the committed bench_smoke baseline in BENCH_fleet.json, failing on a
 # >10% drop, and pins the daemon's observability overhead — observed vs
@@ -60,6 +61,7 @@ go test ./internal/profdiff/ -run '^$' -fuzz FuzzParse -fuzztime "$FUZZTIME"
 go test ./internal/policy/ -run '^$' -fuzz FuzzDesignPointParse -fuzztime "$FUZZTIME"
 go test ./internal/gwp/ -run '^$' -fuzz FuzzWindowDecode -fuzztime "$FUZZTIME"
 go test ./internal/workload/ -run '^$' -fuzz FuzzTapeReplay -fuzztime "$FUZZTIME"
+go test ./internal/workload/ -run '^$' -fuzz FuzzDeathWheel -fuzztime "$FUZZTIME"
 
 echo "==> policy registry coverage (every registered policy allocates cleanly)"
 go test ./internal/policy/ -run TestRegistryCoverage -count 1

@@ -95,8 +95,8 @@ func main() {
 	if err != nil {
 		fatalf("read baseline: %v", err)
 	}
-	// Decode into a generic map so rewriting bench_smoke preserves the
-	// sweep results and any future top-level keys fleet-ab records.
+	// Decode into a generic map so rewriting bench_smoke preserves any
+	// other top-level key the file gains (bench_smoke is its only one).
 	var doc map[string]any
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		fatalf("parse %s: %v", *baselinePath, err)

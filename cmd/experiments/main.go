@@ -37,11 +37,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"wsmalloc"
+	"wsmalloc/internal/fleet"
 )
 
 func main() {
@@ -134,47 +134,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "audit: %d run(s) ended with invariant violations\n", trips)
 		failed = true
 	}
+	var x fleet.RunExport
 	if reg := wsmalloc.ExperimentTelemetry(); reg != nil {
-		snaps := []wsmalloc.TelemetrySnapshot{reg.Snapshot("experiments", 0)}
-		if *metricsOut != "" {
-			paths, err := wsmalloc.WriteTelemetryFiles(*metricsOut, snaps, nil, wsmalloc.TraceDump{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "write telemetry: %v\n", err)
-				os.Exit(1)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		} else if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, snaps...); err != nil {
-			fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
+		x.Snapshots = []wsmalloc.TelemetrySnapshot{reg.Snapshot("experiments", 0)}
+	}
+	x.Profiles = wsmalloc.ExperimentHeapProfiles()
+	if *metricsOut != "" {
+		if err := (fleet.RunSpec{MetricsOut: *metricsOut}).Export(os.Stdout, x); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-	if profiles := wsmalloc.ExperimentHeapProfiles(); len(profiles) > 0 {
-		if *metricsOut != "" {
-			for _, out := range []struct {
-				path  string
-				write func(w io.Writer) error
-			}{
-				{*metricsOut + ".heapz", func(w io.Writer) error { return wsmalloc.WriteHeapProfiles(w, profiles...) }},
-				{*metricsOut + ".heapz.json", func(w io.Writer) error { return wsmalloc.WriteHeapProfilesJSON(w, profiles...) }},
-			} {
-				fl, err := os.Create(out.path)
-				if err == nil {
-					err = out.write(fl)
-					if cerr := fl.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "write %s: %v\n", out.path, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", out.path)
+	} else {
+		// The dumps follow the reports' trailing blank line directly.
+		if len(x.Snapshots) > 0 {
+			if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, x.Snapshots...); err != nil {
+				fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
+				os.Exit(1)
 			}
-		} else if err := wsmalloc.WriteHeapProfiles(os.Stdout, profiles...); err != nil {
-			fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
-			os.Exit(1)
+		}
+		if len(x.Profiles) > 0 {
+			if err := wsmalloc.WriteHeapProfiles(os.Stdout, x.Profiles...); err != nil {
+				fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
+				os.Exit(1)
+			}
 		}
 	}
 	if failed {

@@ -52,8 +52,8 @@ import (
 	"syscall"
 	"time"
 
-	"wsmalloc"
 	"wsmalloc/internal/daemon"
+	"wsmalloc/internal/fleet"
 )
 
 func main() {
@@ -87,14 +87,9 @@ func main() {
 	gwpMin := flag.Int("gwp-min", 1, "minimum machines profiled per window")
 	flag.Parse()
 
-	dp, err := wsmalloc.ParseDesignPoint(*designFlag)
+	dp, acfg, err := fleet.ResolveDesign(*designFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-		os.Exit(2)
-	}
-	acfg, err := wsmalloc.ConfigForDesign(dp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *resume && *checkpointDir == "" {

@@ -5,10 +5,15 @@
 // Usage:
 //
 //	wsmalloc-sim [-profile fleet] [-config baseline|optimized|<feature>]
-//	             [-duration-ms 200] [-seed 1]
+//	             [-design tier=policy,...] [-duration-ms 200] [-seed 1]
 //	             [-telemetry] [-metrics-out BASE] [-sample-every-ms 10]
-//	             [-serve :8080]
+//	             [-heapprof] [-pageheapz] [-serve :8080]
+//	             [-retune-at-ms N -retune-design D]
+//	             [-checkpoint-dir DIR] [-checkpoint-every-ms N] [-resume]
+//	             [-kill-frac 0.5] [-churn 1] [-restart-on-oom]
 //
+// The run is a fleet of one: the profile runs as one machine on the
+// machine runtime, and a run without lifecycle flags is the plain case.
 // -telemetry instruments every allocator tier with the metrics registry
 // and event tracer and appends a mallocz-style dump to the report.
 // -metrics-out writes BASE.prom (Prometheus text), BASE.json (snapshot +
@@ -19,181 +24,116 @@
 // -metrics-out). -pageheapz dumps the hugepage occupancy maps and the
 // fragmentation decomposition. -serve keeps the process alive serving
 // /metricsz, /tracez, /heapz and /pageheapz over HTTP.
+//
+// The lifecycle flags checkpoint, kill (-kill-frac exits 3; -resume
+// finishes byte-identically), churn or OOM-restart the machine. Every
+// output works with them: the registry carries every dead process's
+// counters and histograms, while its gauges, the BASE.json series and
+// trace ring, and the hugepage maps describe the live (last) process.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
-	"time"
 
-	"wsmalloc"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/policy"
 	"wsmalloc/internal/profiling"
+	"wsmalloc/internal/telemetry"
+	"wsmalloc/internal/topology"
+	"wsmalloc/internal/workload"
 )
 
 func main() {
 	profileName := flag.String("profile", "fleet", "workload profile (see -list)")
 	configName := flag.String("config", "baseline",
 		"baseline, optimized, or one redesign: heterogeneous-percpu-cache, nuca-transfer-cache, span-prioritization, lifetime-aware-filler")
-	designFlag := flag.String("design", "",
-		"design point overriding -config: \"baseline\", \"optimized\", or tier=policy pairs, e.g. percpu=hetero,tc=nuca,cfl=prio8,filler=capacity (see -list-policies)")
 	listPolicies := flag.Bool("list-policies", false, "list registered per-tier policies and exit")
-	durationMs := flag.Int64("duration-ms", 200, "virtual run length in milliseconds")
-	seed := flag.Uint64("seed", 1, "deterministic simulation seed")
 	list := flag.Bool("list", false, "list profiles and exit")
-	telemetryOn := flag.Bool("telemetry", false, "instrument the allocator and dump a mallocz-style report")
-	metricsOut := flag.String("metrics-out", "", "write telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")
 	sampleEveryMs := flag.Int64("sample-every-ms", 10, "virtual cadence of the telemetry time-series sampler (0 disables)")
-	serveAddr := flag.String("serve", "", "serve /metricsz, /tracez, /heapz and /pageheapz on this address after the run (implies -telemetry, blocks)")
-	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler and dump heapz/allocz/peakheapz")
-	heapprofInterval := flag.Int64("heapprof-interval", 0, "mean sampled-allocation interval in bytes (0 = default 512 KiB)")
 	pageheapzOn := flag.Bool("pageheapz", false, "dump hugepage occupancy maps and the fragmentation decomposition")
-	lifecycleFlags := fleet.BindLifecycleFlags(flag.CommandLine)
-	retuneAtMs := flag.Int64("retune-at-ms", 0, "live-swap the allocator to -retune-design at this virtual time (0 disables)")
-	retuneDesign := flag.String("retune-design", "", "design point applied live at -retune-at-ms (e.g. \"optimized\" or \"percpu=hetero,tc=nuca,cfl=prio8,filler=capacity\")")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
+	runFlags := fleet.BindRunFlags(flag.CommandLine, 200)
 	flag.Parse()
 	profiling.TuneGC()
 
-	stopProfiling, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	defer stopProfiling()
-
 	if *list {
-		for _, p := range wsmalloc.AllProfiles() {
+		for _, p := range workload.AllProfiles() {
 			fmt.Printf("  %-18s malloc %4.1f%%  threads ~%d  cpus %d\n",
 				p.Name, p.MallocFraction*100, p.Threads.Base, p.CPUSet)
 		}
 		return
 	}
 	if *listPolicies {
-		for _, tier := range wsmalloc.PolicyTiers() {
+		for _, tier := range policy.Tiers() {
 			fmt.Printf("%s:\n", tier)
-			for _, name := range wsmalloc.PolicyNames(tier) {
-				p, _ := wsmalloc.LookupPolicy(tier, name)
+			for _, name := range policy.Names(tier) {
+				p, _ := policy.Lookup(tier, name)
 				fmt.Printf("  %-10s %s\n", name, p.Desc)
 			}
 		}
 		return
 	}
 
-	profile, ok := wsmalloc.ProfileByName(*profileName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown profile %q (try -list)\n", *profileName)
-		os.Exit(2)
+	rs, err := runFlags.Spec()
+	if err != nil {
+		exit(2, err)
 	}
+	stopProfiling, err := profiling.Start(rs.CPUProfile, rs.MemProfile)
+	if err != nil {
+		exit(2, err)
+	}
+	defer stopProfiling()
 
-	spec := *designFlag
-	if spec == "" {
+	profile, ok := workload.ByName(*profileName)
+	if !ok {
+		exit(2, fmt.Errorf("unknown profile %q (try -list)", *profileName))
+	}
+	// -design identifies the run by its full design string and stamps it
+	// onto every export; otherwise the run keeps its -config label.
+	runLabel, label, design := *configName, *configName, ""
+	if rs.DesignSet {
+		runLabel, label, design = rs.Design.String(), "", rs.Design.String()
+	} else if !policy.IsShorthand(*configName) {
 		// -config takes only the named shorthands; tier=policy pairs go
 		// through -design.
-		if !wsmalloc.IsDesignShorthand(*configName) {
-			fmt.Fprintf(os.Stderr, "unknown config %q\n", *configName)
-			os.Exit(2)
-		}
-		spec = *configName
+		exit(2, fmt.Errorf("unknown config %q", *configName))
+	} else if rs.Design, rs.Config, err = fleet.ResolveDesign(*configName); err != nil {
+		exit(2, err)
 	}
-	dp, err := wsmalloc.ParseDesignPoint(spec)
+
+	cfg := rs.Config
+	if rs.Telemetry {
+		cfg.Telemetry = telemetry.DefaultConfig()
+		cfg.Telemetry.SampleEveryNs = *sampleEveryMs * 1_000_000
+	}
+	cfg.HeapProfile = rs.HeapProfile
+	opts := workload.DefaultOptions(rs.Seed)
+	opts.Duration = rs.DurationNs()
+	opts.RetuneAtNs, opts.RetuneDesign = rs.RetuneAtNs, rs.RetuneDesign
+	lc := rs.Lifecycle
+	lc.Arm, lc.Design, lc.ChurnSeed = "sim", runLabel, rs.Seed^0xc0ffee
+
+	m := fleet.Machine{Platform: topology.Default(), App: profile, Seed: rs.Seed}
+	rm, rt, halted, err := fleet.RunMachineLifecycle(m, cfg, opts, lc)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-		os.Exit(2)
+		exit(1, err)
 	}
-	cfg, err := wsmalloc.ConfigForDesign(dp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "-design: %v\n", err)
-		os.Exit(2)
+	if halted {
+		fmt.Printf("run killed at %.0f%% virtual time; checkpointed to %s — re-run with -resume to finish\n",
+			lc.Checkpoint.KillAtFrac*100, lc.Checkpoint.Dir)
+		os.Exit(3)
 	}
-	// design is the canonical design-point string stamped onto every
-	// export when -design is used; "" keeps the legacy -config labeling.
-	design, runLabel := "", *configName
-	if *designFlag != "" {
-		design = dp.String()
-		runLabel = design
+	if c := rt.Counters(); c.ChurnKills+c.OOMKills+c.Restarts > 0 {
+		fmt.Printf("lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
+			c.ChurnKills, c.OOMKills, c.Restarts)
 	}
-
-	if *metricsOut != "" || *serveAddr != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		tcfg := wsmalloc.DefaultTelemetryConfig()
-		tcfg.SampleEveryNs = *sampleEveryMs * 1_000_000
-		cfg.Telemetry = tcfg
-	}
-	if *heapprofOn {
-		hcfg := wsmalloc.DefaultHeapProfileConfig()
-		hcfg.SampleIntervalBytes = *heapprofInterval
-		hcfg.Seed = *seed
-		cfg.HeapProfile = hcfg
-	}
-
-	opts := wsmalloc.DefaultRunOptions(*seed)
-	opts.Duration = *durationMs * 1_000_000
-	if (*retuneDesign != "") != (*retuneAtMs > 0) {
-		fmt.Fprintln(os.Stderr, "-retune-design and -retune-at-ms must be used together")
-		os.Exit(2)
-	}
-	if *retuneDesign != "" {
-		rdp, err := wsmalloc.ParseDesignPoint(*retuneDesign)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-retune-design: %v\n", err)
-			os.Exit(2)
-		}
-		opts.RetuneAtNs = *retuneAtMs * 1_000_000
-		opts.RetuneDesign = rdp.String()
-	}
-
-	// Lifecycle mode runs the profile as a fleet of one on the machine
-	// runtime: periodic checkpoints, scheduled/churn kills, OOM restarts.
-	// A restarted run loses its heap and caches but keeps its workload
-	// position. The allocator lives inside the runner, so the live
-	// /pageheapz, /tracez and -serve views are unavailable in this mode.
-	lc, err := lifecycleFlags.Options(opts.Duration)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if lc.Enabled() && (*pageheapzOn || *serveAddr != "") {
-		fmt.Fprintln(os.Stderr, "-pageheapz and -serve are not available with lifecycle flags")
-		os.Exit(2)
-	}
-
-	var res wsmalloc.RunResult
-	var alloc *wsmalloc.Allocator
-	var rm wsmalloc.MachineRunMetrics
-	if lc.Enabled() {
-		m := wsmalloc.Machine{ID: 0, Platform: wsmalloc.DefaultPlatform(), App: profile, Seed: *seed}
-		lc.Arm, lc.Design, lc.ChurnSeed = "sim", runLabel, *seed^0xc0ffee
-		r, lcStats, halted, err := wsmalloc.RunMachineLifecycle(m, cfg, opts, lc)
-		rm = r
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if halted {
-			fmt.Printf("run killed at %.0f%% virtual time; checkpointed to %s — re-run with -resume to finish\n",
-				lc.Checkpoint.KillAtFrac*100, lc.Checkpoint.Dir)
-			os.Exit(3)
-		}
-		if lcStats.ChurnKills+lcStats.OOMKills+lcStats.Restarts > 0 {
-			fmt.Printf("lifecycle: %d churn kills, %d OOM kills, %d restarts\n",
-				lcStats.ChurnKills, lcStats.OOMKills, lcStats.Restarts)
-		}
-		res = rm.Result
-	} else {
-		alloc = wsmalloc.NewAllocator(cfg, wsmalloc.DefaultPlatform())
-		res = wsmalloc.RunWorkloadOn(profile, alloc, opts)
-	}
+	res := rm.Result
 	st := res.Stats
 
 	fmt.Printf("profile %s under %s for %dms virtual (seed %d)\n",
-		profile.Name, runLabel, *durationMs, *seed)
+		profile.Name, runLabel, rs.DurationMs, rs.Seed)
 	fmt.Printf("  ops            %d allocs, %d frees (%.1fM ops/s virtual)\n",
 		res.Ops, res.Frees, res.OpsPerSecond()/1e6)
 	fmt.Printf("  malloc time    %.2f ms modeled (%.2f%% of app CPU)\n",
@@ -225,151 +165,41 @@ func main() {
 		fmt.Printf("    %-16s %6.2f%%\n", k, shares[k]*100)
 	}
 
-	// -design identifies the run by its full design string rather than by
-	// the -config name it overrode.
-	label := *configName
-	if design != "" {
-		label = ""
+	x := fleet.RunExport{Profiles: rm.HeapProfiles, Process: rt.Alloc(), WritePageHeapZ: *pageheapzOn}
+	if rm.Telemetry != nil {
+		// A plain run is stamped at the allocator's clock; a lifecycle
+		// run at the nominal end, which a resumed run shares.
+		at := x.Process.Now()
+		if lc.Enabled() {
+			at = opts.Duration
+		}
+		snap := rm.Telemetry.Snapshot(label, at)
+		snap.Design = design
+		x.Snapshots = []telemetry.Snapshot{snap}
 	}
-	var snaps []wsmalloc.TelemetrySnapshot
-	var series []wsmalloc.TelemetrySnapshot
-	var trace wsmalloc.TraceDump
-	var profiles []wsmalloc.HeapProfile
-	if alloc != nil {
-		if tel := alloc.Telemetry(); tel != nil {
-			snap := tel.Snapshot(label, alloc.Now())
-			snap.Design = design
-			snaps = []wsmalloc.TelemetrySnapshot{snap}
-			trace = tel.Tracer().Dump()
-			series = tel.Samples()
-		}
-		profiles = alloc.HeapProfiles(label)
-	} else {
-		if rm.Telemetry != nil {
-			// Lifecycle mode: the registry survives resume and carries every
-			// dead process's counters and histograms (gauges describe the
-			// live process); the trace ring and series stay in the runner.
-			snap := rm.Telemetry.Snapshot(label, opts.Duration)
-			snap.Design = design
-			snaps = []wsmalloc.TelemetrySnapshot{snap}
-		}
-		profiles = rm.HeapProfiles
-		for i := range profiles {
-			profiles[i].Label = label
-		}
+	for i := range x.Profiles {
+		x.Profiles[i].Label, x.Profiles[i].Design = label, design
 	}
-	for i := range profiles {
-		profiles[i].Design = design
+	if err := rs.Export(os.Stdout, x); err != nil {
+		exit(1, err)
 	}
-	if len(snaps) > 0 {
-		if *metricsOut != "" {
-			paths, err := wsmalloc.WriteTelemetryFiles(*metricsOut, snaps, series, trace)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "write telemetry: %v\n", err)
-				os.Exit(1)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteTelemetryMallocz(os.Stdout, snaps...); err != nil {
-				fmt.Fprintf(os.Stderr, "mallocz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if len(profiles) > 0 {
-		if *metricsOut != "" {
-			writeFile(*metricsOut+".heapz", func(w io.Writer) error {
-				return wsmalloc.WriteHeapProfiles(w, profiles...)
-			})
-			writeFile(*metricsOut+".heapz.json", func(w io.Writer) error {
-				return wsmalloc.WriteHeapProfilesJSON(w, profiles...)
-			})
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WriteHeapProfiles(os.Stdout, profiles...); err != nil {
-				fmt.Fprintf(os.Stderr, "heapz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if *pageheapzOn {
-		z := alloc.PageHeapZ()
-		if *metricsOut != "" {
-			writeFile(*metricsOut+".pageheapz", func(w io.Writer) error {
-				return wsmalloc.WritePageHeapZ(w, z)
-			})
-		} else {
-			fmt.Println()
-			if err := wsmalloc.WritePageHeapZ(os.Stdout, z); err != nil {
-				fmt.Fprintf(os.Stderr, "pageheapz: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-
-	if *serveAddr != "" {
-		serveStart := time.Now()
-		ep := wsmalloc.TelemetryEndpoints{
-			Snapshots: func() []wsmalloc.TelemetrySnapshot { return snaps },
-			Trace:     func() wsmalloc.TraceDump { return trace },
-			PageHeapz: func(w io.Writer, format string) error {
-				z := alloc.PageHeapZ()
-				if format == "json" {
-					return wsmalloc.WritePageHeapZJSON(w, z)
-				}
-				return wsmalloc.WritePageHeapZ(w, z)
-			},
-			// /statusz identifies the finished run this one-shot server is
-			// exposing; /healthz reports "ok" for as long as it serves.
-			Status: func() any {
-				return map[string]any{
-					"service":       "wsmalloc-sim",
-					"uptime_sec":    time.Since(serveStart).Seconds(),
-					"profile":       profile.Name,
-					"config":        runLabel,
-					"seed":          *seed,
-					"duration_ms":   *durationMs,
-					"ops":           res.Ops,
-					"frees":         res.Frees,
-					"heap_profiles": len(profiles),
-				}
-			},
-			Health: func() error { return nil },
-		}
-		if len(profiles) > 0 {
-			ep.Heapz = func(w io.Writer, format string) error {
-				if format == "json" {
-					return wsmalloc.WriteHeapProfilesJSON(w, profiles...)
-				}
-				return wsmalloc.WriteHeapProfiles(w, profiles...)
-			}
-		}
-		fmt.Printf("serving /metricsz, /tracez, /heapz, /pageheapz, /statusz and /healthz on %s\n", *serveAddr)
-		if err := wsmalloc.ServeTelemetry(*serveAddr, ep); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %v\n", err)
-			os.Exit(1)
+	if rs.ServeAddr != "" {
+		err := rs.Serve(os.Stdout, "wsmalloc-sim", x, map[string]any{
+			"profile": profile.Name,
+			"config":  runLabel,
+			"ops":     res.Ops,
+			"frees":   res.Frees,
+		})
+		if err != nil {
+			exit(1, err)
 		}
 	}
 }
 
-// writeFile writes one render to path, reporting and exiting on failure.
-func writeFile(path string, render func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err == nil {
-		err = render(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", path)
+// exit reports err and exits with code: 2 for usage, 1 for a failure.
+func exit(code int, err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(code)
 }
 
 func f(b int64) float64 { return float64(b) / (1 << 20) }

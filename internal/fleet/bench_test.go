@@ -32,8 +32,8 @@ func BenchmarkHotLoop(b *testing.B) {
 // BenchmarkFleetAB sweeps the worker count over the fleet A/B engine.
 // The per-iteration work is fixed (same machines, same virtual
 // duration), so ns/op across sub-benchmarks is the parallel speedup;
-// machines/s is the headline scheduling metric that
-// scripts/bench_fleet.sh records in BENCH_fleet.json.
+// machines/s is the headline scheduling metric, which cmd/benchgate
+// gates against BENCH_fleet.json's bench_smoke block.
 func BenchmarkFleetAB(b *testing.B) {
 	js := []int{1, 2}
 	if n := runtime.NumCPU(); n > 2 {

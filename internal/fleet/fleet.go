@@ -405,8 +405,10 @@ func runArms(out *machineOutcome, m Machine, cfgC, cfgE core.Config, woptsC, wop
 		if err != nil {
 			return RunMetrics{}
 		}
-		rm, ls, halted, rerr := runMachine(m, cfg, wopts, lc)
-		out.chaos.Lifecycle.Add(ls)
+		rm, rt, halted, rerr := runMachine(m, cfg, wopts, lc)
+		if rt != nil {
+			out.chaos.Lifecycle.Add(rt.Counters())
+		}
 		out.halted = out.halted || halted
 		err = rerr
 		return rm

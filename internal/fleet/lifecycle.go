@@ -192,15 +192,17 @@ func churnSchedule(m Machine, duration int64, lc LifecycleOptions) int64 {
 // RunMachineLifecycle executes one machine run on the machine runtime
 // under the fleet's policy: one seeded churn kill, an optional
 // KillAtFrac halt, and a restart budget for the whole run. It returns
+// the runtime it ran (nil on error), whose Counters are the run's
+// lifecycle counts and whose Alloc is the final process, and
 // halted=true (with no error) when a KillAtFrac kill stopped the run
 // after checkpointing; the same call with Checkpoint.Resume set finishes
 // it bit-identically to a run that was never killed. With zero
 // LifecycleOptions it is a plain machine run (RunMachineOpts).
 func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
-	lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
+	lc LifecycleOptions) (RunMetrics, *machine.Runtime, bool, error) {
 	duration := opts.Duration
-	fail := func(at int64, err error) (RunMetrics, LifecycleStats, bool, error) {
-		return RunMetrics{}, LifecycleStats{}, false, &MachineError{
+	fail := func(at int64, err error) (RunMetrics, *machine.Runtime, bool, error) {
+		return RunMetrics{}, nil, false, &MachineError{
 			MachineID: m.ID, Seed: m.Seed, App: m.App.Name, VirtualNs: at, Err: err,
 		}
 	}
@@ -243,7 +245,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 	if budget <= 0 {
 		budget = DefaultMaxRestarts
 	}
-	unhealthy := func(c LifecycleStats) (RunMetrics, LifecycleStats, bool, error) {
+	unhealthy := func(c LifecycleStats) (RunMetrics, *machine.Runtime, bool, error) {
 		return fail(rt.Driver().Now(), fmt.Errorf("machine unhealthy: %d restarts (churn=%d, oom=%d) exhausted the restart budget",
 			c.Restarts, c.ChurnKills, c.OOMKills))
 	}
@@ -269,7 +271,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 		}
 		if st.pendingChurn == 0 || rt.Driver().Now() < st.pendingChurn {
 			// KillAtFrac: the whole run stops here, checkpointed.
-			return RunMetrics{}, c, true, nil
+			return RunMetrics{}, rt, true, nil
 		}
 		// Scheduled churn: the machine dies and is repaired.
 		if c.Restarts >= budget {
@@ -279,7 +281,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 		st.pendingChurn = 0
 		rt.RestartCold(machine.Churn)
 	}
-	return finishRunMetrics(m, rt, res, &st.ac), rt.Counters(), false, nil
+	return finishRunMetrics(m, rt, res, &st.ac), rt, false, nil
 }
 
 // finishRunMetrics derives the RunMetrics summary from a completed run.

@@ -11,6 +11,7 @@ import (
 
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/heapprof"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/sched"
@@ -252,11 +253,11 @@ func TestFleetRetryResumesFromCheckpoint(t *testing.T) {
 	fails := map[string]bool{}
 	sawResume := false
 	runMachine = func(m Machine, cfg core.Config, opts workload.Options,
-		lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
+		lc LifecycleOptions) (RunMetrics, *machine.Runtime, bool, error) {
 		key := fmt.Sprintf("m%d-%s", m.ID, lc.Arm)
 		if m.ID == 0 && lc.Arm == "control" && !fails[key] {
 			fails[key] = true
-			return RunMetrics{}, LifecycleStats{}, false, &MachineError{
+			return RunMetrics{}, nil, false, &MachineError{
 				MachineID: m.ID, Seed: m.Seed, App: m.App.Name, VirtualNs: 1,
 				Err: errors.New("transient infra failure"),
 			}
@@ -295,10 +296,11 @@ func TestChurnTelemetryCarriesDeadProcesses(t *testing.T) {
 	opts.Duration = 20 * workload.Millisecond
 
 	run := func(churn float64) (RunMetrics, telemetry.Snapshot) {
-		rm, ls, halted, err := RunMachineLifecycle(m, cfg, opts, LifecycleOptions{Churn: churn, ChurnSeed: 1})
+		rm, rt, halted, err := RunMachineLifecycle(m, cfg, opts, LifecycleOptions{Churn: churn, ChurnSeed: 1})
 		if err != nil || halted {
 			t.Fatalf("churn=%g: halted=%v err=%v", churn, halted, err)
 		}
+		ls := rt.Counters()
 		if want := int64(churn); ls.ChurnKills != want || ls.Restarts != want {
 			t.Fatalf("churn=%g: lifecycle %+v, want %d kill and restart", churn, ls, want)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wsmalloc/internal/core"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/workload"
 )
@@ -132,7 +133,7 @@ func TestABTestOverSampleRunsEachMachineOnce(t *testing.T) {
 	orig := runMachine
 	defer func() { runMachine = orig }()
 	runs := make([]int, len(f.Machines))
-	runMachine = func(m Machine, cfg core.Config, opts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
+	runMachine = func(m Machine, cfg core.Config, opts workload.Options, lc LifecycleOptions) (RunMetrics, *machine.Runtime, bool, error) {
 		runs[m.ID]++ // Workers=1 below: no lock needed
 		return orig(m, cfg, opts, lc)
 	}
@@ -179,7 +180,7 @@ func TestABTestWorkerPanicCarriesSeed(t *testing.T) {
 
 	orig := runMachine
 	defer func() { runMachine = orig }()
-	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
+	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, *machine.Runtime, bool, error) {
 		if m.Seed == bad.Seed {
 			panic("injected machine fault")
 		}

@@ -7,6 +7,7 @@ import (
 
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/heapprof"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/policy"
 	"wsmalloc/internal/telemetry"
@@ -185,12 +186,12 @@ func TestReplayRefusalRerunsLive(t *testing.T) {
 	var stopped int
 	orig := runMachine
 	defer func() { runMachine = orig }()
-	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, LifecycleStats, bool, error) {
-		rm, ls, halted, err := orig(m, cfg, wopts, lc)
+	runMachine = func(m Machine, cfg core.Config, wopts workload.Options, lc LifecycleOptions) (RunMetrics, *machine.Runtime, bool, error) {
+		rm, rt, halted, err := orig(m, cfg, wopts, lc)
 		if wopts.Replay != nil && wopts.Replay.Stopped() {
 			stopped++
 		}
-		return rm, ls, halted, err
+		return rm, rt, halted, err
 	}
 	taped, err := f.ABTestErr(control, experiment, opts)
 	if err != nil {

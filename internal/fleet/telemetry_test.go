@@ -69,7 +69,7 @@ func TestABTelemetryParallelEquivalence(t *testing.T) {
 }
 
 // TestABTelemetryDisabledByDefault pins down that a plain experiment
-// carries no registries: the bench fingerprint (%#v) must stay free of
+// carries no registries: a %#v of its result must stay free of
 // run-dependent pointers.
 func TestABTelemetryDisabledByDefault(t *testing.T) {
 	f := New(16, 3)

@@ -173,6 +173,41 @@ func TestDefaultWorkersClampsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestOversubscribedMapRunsSequentially is the deterministic half of
+// the clamp check: with GOMAXPROCS pinned to 1, Map at -j 4 must take
+// the sequential path — one task in flight at a time, in index order —
+// even when every task yields the processor.
+func TestOversubscribedMapRunsSequentially(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	var inFlight, maxInFlight atomic.Int32
+	var order []int
+	err := Map(context.Background(), 32, 4, func(i int) error {
+		n := inFlight.Add(1)
+		if n > maxInFlight.Load() {
+			maxInFlight.Store(n)
+		}
+		order = append(order, i) // sequential path: no other task runs concurrently
+		runtime.Gosched()        // a pool worker would start the next task here
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := maxInFlight.Load(); got != 1 {
+		t.Fatalf("-j 4 on GOMAXPROCS=1 had %d tasks in flight, want 1", got)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("task order %v, want index order", order)
+		}
+	}
+	if len(order) != 32 {
+		t.Fatalf("ran %d tasks, want 32", len(order))
+	}
+}
+
 // TestOversubscribedJMatchesSequentialThroughput runs the same CPU-bound
 // task set at -j 1 and -j 4 with GOMAXPROCS pinned to 1 and requires the
 // oversubscribed run to stay within 5% of the sequential one — the
@@ -180,7 +215,9 @@ func TestDefaultWorkersClampsToGOMAXPROCS(t *testing.T) {
 // was measurably slower than -j 1). The two run in interleaved pairs,
 // alternating which goes first, and the bound applies to the median
 // per-pair ratio: load that comes and goes on a shared box lands on both
-// sides of a pair instead of on one side's whole block.
+// sides of a pair instead of on one side's whole block. Each side spins
+// for about 0.1 s, long enough that a scheduler hiccup under a loaded
+// test suite is a small fraction of it.
 func TestOversubscribedJMatchesSequentialThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -192,7 +229,7 @@ func TestOversubscribedJMatchesSequentialThroughput(t *testing.T) {
 	work := func(i int) error {
 		// Deterministic CPU-bound spin, no allocation.
 		x := uint64(i + 1)
-		for k := 0; k < 400_000; k++ {
+		for k := 0; k < 2_000_000; k++ {
 			x = x*6364136223846793005 + 1442695040888963407
 		}
 		if x == 0 {

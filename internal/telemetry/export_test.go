@@ -147,7 +147,10 @@ func TestWriteFiles(t *testing.T) {
 func TestHTTPHandler(t *testing.T) {
 	snaps := buildSnapshots()
 	trace := []Event{{NowNs: 5, Kind: EvSubrelease, KindS: EvSubrelease.String(), A: 1, B: 8}}
-	h := NewHandler(func() []Snapshot { return snaps }, func() []Event { return trace })
+	h := NewMux(Endpoints{
+		Snapshots: func() []Snapshot { return snaps },
+		Trace:     func() TraceDump { return TraceDump{Events: trace, Total: int64(len(trace))} },
+	})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 

@@ -145,27 +145,8 @@ func NewMux(ep Endpoints) http.Handler {
 	return mux
 }
 
-// NewHandler is the legacy two-accessor constructor, kept for callers
-// that only expose metrics and a bare event list. The trace endpoint it
-// serves reports Total as the retained count (no drop accounting).
-func NewHandler(snaps func() []Snapshot, trace func() []Event) http.Handler {
-	ep := Endpoints{Snapshots: snaps}
-	if trace != nil {
-		ep.Trace = func() TraceDump {
-			ev := trace()
-			return TraceDump{Events: ev, Total: int64(len(ev))}
-		}
-	}
-	return NewMux(ep)
-}
-
 // ServeEndpoints blocks serving the mux on addr; the CLIs call it after
 // a run when -serve is set so the operator can curl the pages.
 func ServeEndpoints(addr string, ep Endpoints) error {
 	return http.ListenAndServe(addr, NewMux(ep))
-}
-
-// Serve is the legacy entry point matching NewHandler's shape.
-func Serve(addr string, snaps func() []Snapshot, trace func() []Event) error {
-	return http.ListenAndServe(addr, NewHandler(snaps, trace))
 }

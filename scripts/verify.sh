@@ -142,20 +142,22 @@ for j in 1 4; do
 done
 
 echo "==> wsmalloc-sim lifecycle smoke (kill at 50% + resume byte-identical to uninterrupted; churn keeps dead processes' counters)"
-# wsmalloc-sim runs its lifecycle flags as a fleet of one on the machine
-# runtime. A run killed at 50% virtual time must exit 3 and resume to
-# exports byte-identical to an uninterrupted checkpointed run. A churned
+# wsmalloc-sim runs as a fleet of one on the machine runtime. A run
+# killed at 50% virtual time must exit 3 and resume to exports
+# byte-identical to an uninterrupted checkpointed run: the restored
+# allocator's hugepage maps (.pageheapz), its series and trace ring
+# (.json) and every other export. A churned
 # run's telemetry must count every allocation the run made: the
 # cumulative malloc count (the alloc_size_bytes histogram every malloc
 # feeds) carries the process that died across the cold restart.
 go build -o "$TELDIR/wsmalloc-sim" ./cmd/wsmalloc-sim
-SIMFLAGS="-duration-ms 40 -telemetry -heapprof"
+SIMFLAGS="-duration-ms 40 -telemetry -heapprof -pageheapz"
 "$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck-ref" -metrics-out "$TELDIR/sim-ref" > /dev/null
 status=0
 "$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck" -kill-frac 0.5 > /dev/null || status=$?
 [ "$status" -eq 3 ] # the scheduled kill must exit with the resume-me code
 "$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck" -resume -metrics-out "$TELDIR/sim-res" > /dev/null
-for ext in prom json mallocz heapz heapz.json; do
+for ext in prom json mallocz heapz heapz.json pageheapz; do
     cmp "$TELDIR/sim-ref.$ext" "$TELDIR/sim-res.$ext"
 done
 "$TELDIR/wsmalloc-sim" -duration-ms 40 -telemetry -churn 1 -metrics-out "$TELDIR/sim-churn" > "$TELDIR/sim-churn.out"

@@ -77,11 +77,6 @@ type (
 	ABResult = fleet.ABResult
 	// Machine is one synthetic machine of a fleet population.
 	Machine = fleet.Machine
-	// MachineRunMetrics is one machine run's derived metrics.
-	MachineRunMetrics = fleet.RunMetrics
-	// LifecycleOptions select checkpoint/resume, churn and OOM-restart
-	// behaviour for a single machine run.
-	LifecycleOptions = fleet.LifecycleOptions
 	// Report is a printable experiment outcome.
 	Report = experiments.Report
 	// Scale trades experiment fidelity for wall-clock time.
@@ -396,16 +391,6 @@ func NewFleet(n int, seed uint64) *Fleet { return fleet.New(n, seed) }
 
 // DefaultABOptions returns the standard fleet experiment setup.
 func DefaultABOptions() ABOptions { return fleet.DefaultABOptions() }
-
-// RunMachineLifecycle executes one machine run with crash tolerance:
-// periodic deterministic checkpoints, scheduled kills, seeded churn and
-// OOM-kill/restart cycles per LifecycleOptions. It returns halted=true
-// when the run stopped at a scheduled kill point after checkpointing;
-// resuming with LifecycleOptions.Checkpoint.Resume finishes the run
-// bit-identically to one that was never interrupted.
-func RunMachineLifecycle(m Machine, cfg Config, opts RunOptions, lc LifecycleOptions) (MachineRunMetrics, LifecycleStats, bool, error) {
-	return fleet.RunMachineLifecycle(m, cfg, opts, lc)
-}
 
 // Experiment returns the named paper experiment ("fig3".."fig17",
 // "table1", "table2", "combined", "ablation-*").

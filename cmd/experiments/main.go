@@ -6,9 +6,9 @@
 //	            [-telemetry] [-metrics-out BASE]
 //	            [-design POINTS] [-design-out BASE] [all|<name>...]
 //
-// Names are fig3..fig17, table1, table2, combined, ablation-l,
-// ablation-c, ablation-capacity, selftest, chaos. With no arguments it
-// lists the registry.
+// Names are fig3..fig17, table1, table2, combined, designspace,
+// ablation-l, ablation-c, ablation-capacity, selftest, chaos, lifecycle
+// and churn. With no arguments it lists the registry.
 //
 // -j bounds the worker pool that experiments fan out over (machines in
 // fleet A/Bs, profiles in benchmark sweeps, the experiments themselves);
@@ -20,12 +20,14 @@
 // mmap failure rate. The command exits non-zero if any audit trips or a
 // self-checking experiment fails.
 //
-// -telemetry instruments every profile-driven run and folds the metrics
-// registries into one aggregate, dumped mallocz-style after the reports;
-// -metrics-out writes BASE.prom, BASE.json and BASE.mallocz instead.
-// -heapprof additionally attaches the sampled heap profiler to every
+// -telemetry instruments every profile-driven run; each report carries
+// its runs' merged registry, and the reports fold in argument order into
+// one aggregate, dumped mallocz-style after the reports; -metrics-out
+// writes BASE.prom, BASE.json and BASE.mallocz instead. -heapprof
+// additionally attaches the sampled heap profiler to every
 // profile-driven run and dumps the merged heapz/allocz/peakheapz views
-// (BASE.heapz and BASE.heapz.json with -metrics-out).
+// (BASE.heapz and BASE.heapz.json with -metrics-out), folded the same
+// way.
 //
 // -design selects the points swept by the "designspace" experiment as a
 // semicolon-separated list of design-point strings
@@ -41,6 +43,7 @@ import (
 	"strings"
 
 	"wsmalloc"
+	"wsmalloc/internal/experiments"
 	"wsmalloc/internal/fleet"
 )
 
@@ -57,21 +60,18 @@ func main() {
 	designOut := flag.String("design-out", "", "write the designspace leaderboard to BASE.json and BASE.csv")
 	flag.Parse()
 
-	wsmalloc.SetHardening(wsmalloc.Hardening{Audit: *audit, Chaos: *chaos})
 	wsmalloc.SetExperimentWorkers(*workers)
-	if *metricsOut != "" {
-		*telemetryOn = true
-	}
-	if *telemetryOn {
-		// Registries merge commutatively across the worker pool; traces
-		// do not, so only the mergeable metrics are aggregated.
-		wsmalloc.SetExperimentTelemetry(wsmalloc.TelemetryConfig{Enabled: true})
+	in := wsmalloc.ExperimentInstrumentation{Audit: *audit, Chaos: *chaos}
+	if *telemetryOn || *metricsOut != "" {
+		// Registries merge exactly; traces do not, so only the
+		// mergeable metrics are aggregated.
+		in.Telemetry = wsmalloc.TelemetryConfig{Enabled: true}
 	}
 	if *heapprofOn {
-		hcfg := wsmalloc.DefaultHeapProfileConfig()
-		hcfg.Seed = *seed
-		wsmalloc.SetExperimentHeapProfile(hcfg)
+		in.HeapProfile = wsmalloc.DefaultHeapProfileConfig()
+		in.HeapProfile.Seed = *seed
 	}
+	wsmalloc.InstrumentExperiments(in)
 	if *design != "" || *designOut != "" {
 		var points []wsmalloc.DesignPoint
 		if *design != "" {
@@ -130,15 +130,15 @@ func main() {
 			failed = true
 		}
 	}
-	if trips := wsmalloc.AuditTrips(); trips > 0 {
-		fmt.Fprintf(os.Stderr, "audit: %d run(s) ended with invariant violations\n", trips)
+	total := experiments.Fold(reports)
+	if total.AuditTrips > 0 {
+		fmt.Fprintf(os.Stderr, "audit: %d run(s) ended with invariant violations\n", total.AuditTrips)
 		failed = true
 	}
-	var x fleet.RunExport
-	if reg := wsmalloc.ExperimentTelemetry(); reg != nil {
-		x.Snapshots = []wsmalloc.TelemetrySnapshot{reg.Snapshot("experiments", 0)}
+	x := fleet.RunExport{Profiles: total.HeapProfiles}
+	if total.Telemetry != nil {
+		x.Snapshots = []wsmalloc.TelemetrySnapshot{total.Telemetry.Snapshot("experiments", 0)}
 	}
-	x.Profiles = wsmalloc.ExperimentHeapProfiles()
 	if *metricsOut != "" {
 		if err := (fleet.RunSpec{MetricsOut: *metricsOut}).Export(os.Stdout, x); err != nil {
 			fmt.Fprintln(os.Stderr, err)

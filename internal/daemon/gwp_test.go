@@ -296,8 +296,8 @@ func TestGWPAlertsCarryWindowID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	runTicks(t, d, 8)       // warm up past the first window
-	d.Inject(4, 1.0)        // fault burst → restart-rate alert
+	runTicks(t, d, 8) // warm up past the first window
+	d.Inject(4, 1.0)  // fault burst → restart-rate alert
 	runTicks(t, d, 8)
 
 	dump := d.Alerts()

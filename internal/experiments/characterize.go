@@ -129,7 +129,7 @@ func Fig5(seed uint64, scale Scale) Report {
 	profiles = append(profiles, workload.SPECLike())
 	dur := scale.duration(120 * workload.Millisecond)
 	for _, p := range profiles {
-		res, _ := runProfile(p, core.BaselineConfig(), seed, dur)
+		res, _ := runProfile(&r, p, core.BaselineConfig(), seed, dur)
 		st := res.Stats
 		// Malloc share against the profile-calibrated application work.
 		mallocShare := 0.0
@@ -170,7 +170,7 @@ func Fig6(seed uint64, scale Scale) Report {
 			sh["PageHeap"]*100, sh["Mmap"]*100, sh["Prefetch"]*100, sh["Sampled"]*100, sh["Other"]*100)
 	}
 	for _, p := range profiles {
-		res, _ := runProfile(p, core.BaselineConfig(), seed+1, dur)
+		res, _ := runProfile(&r, p, core.BaselineConfig(), seed+1, dur)
 		f := res.Stats.Frag
 		total := float64(max64(f.Total(), 1))
 		r.addf("%-10s frag:   CPUCache %4.1f%%  TC %4.1f%%  CFL %4.1f%%  PageHeap %4.1f%%  Internal %4.1f%%",
@@ -188,7 +188,7 @@ func Fig7(seed uint64, scale Scale) Report {
 		Title:      "CDF of allocated objects by count and by bytes",
 		PaperClaim: "<1KiB: 98% of objects, 28% of memory; >8KiB: 50% of memory; >256KiB: 22% of memory",
 	}
-	p := profiler.New(0)
+	p := profiler.New()
 	fleetProf := workload.Fleet()
 	rr := rng.New(seed)
 	n := int(float64(2_000_000) * float64(scale))
@@ -227,7 +227,7 @@ func Fig8(seed uint64, scale Scale) Report {
 		PaperClaim: "fleet lifetimes span 10 decades (46% of <1KiB die <1ms; 65% of >1GiB live >1 day); SPEC is bimodal",
 	}
 	build := func(p workload.Profile) *profiler.Profiler {
-		pr := profiler.New(0)
+		pr := profiler.New()
 		rr := rng.New(seed)
 		n := int(float64(400_000) * float64(scale))
 		for i := 0; i < n; i++ {
@@ -291,7 +291,7 @@ func Fig9(seed uint64, scale Scale) Report {
 		PaperClaim: "thread count fluctuates constantly; vCPU 0 sees the most misses, high-index vCPUs far fewer",
 	}
 	dur := scale.duration(200 * workload.Millisecond)
-	res, alloc := runProfile(workload.Monarch(), core.BaselineConfig(), seed, dur)
+	res, rt := runProfile(&r, workload.Monarch(), core.BaselineConfig(), seed, dur)
 
 	var s stats.Summary
 	min, max := res.ThreadSeries[0], res.ThreadSeries[0]
@@ -307,7 +307,7 @@ func Fig9(seed uint64, scale Scale) Report {
 	r.addf("threads over run: mean %.1f  min %d  max %d  stddev %.1f (n=%d samples)",
 		s.Mean(), min, max, s.StdDev(), s.N())
 
-	misses := alloc.FrontEnd().MissCounts()
+	misses := rt.Alloc().FrontEnd().MissCounts()
 	var total int64
 	for _, m := range misses {
 		total += m

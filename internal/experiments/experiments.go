@@ -15,6 +15,7 @@ import (
 	"wsmalloc/internal/check"
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
+	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
 	"wsmalloc/internal/policy"
 	"wsmalloc/internal/topology"
@@ -53,6 +54,8 @@ type Report struct {
 	// Failed marks a self-checking experiment (selftest, chaos) whose
 	// assertion tripped; cmd/experiments exits non-zero on it.
 	Failed bool
+	// Measures is what the report's instrumented runs measured.
+	Measures
 }
 
 // String renders the report.
@@ -134,38 +137,40 @@ func designConfig(d policy.DesignPoint) core.Config {
 	return cfg
 }
 
-// runProfile executes one profile on a fresh allocator/machine, applying
-// any Hardening instrumentation (sanitizer, fault injection) in force.
-func runProfile(p workload.Profile, cfg core.Config, seed uint64, duration int64) (workload.Result, *core.Allocator) {
-	topo := topology.New(topology.Default())
-	if hardening.Chaos {
+// runProfile executes one profile on a fresh machine through the machine
+// runtime, under the installed Instrumentation, and folds what the run
+// measured into r. It returns the run's result and runtime. Calls on one
+// report must not overlap: their order is the order of r's fold.
+func runProfile(r *Report, p workload.Profile, cfg core.Config, seed uint64, duration int64) (workload.Result, *machine.Runtime) {
+	if instr.Chaos {
 		cfg.Faults = mem.FaultPlan{Seed: seed ^ 0x5eed, MmapFailureRate: 0.005}
 	}
-	if hardening.Audit {
+	if instr.Audit {
 		cfg.Check = check.DefaultConfig()
 	}
-	if telCfg.Enabled {
-		cfg.Telemetry = telCfg
+	if instr.Telemetry.Enabled {
+		cfg.Telemetry = instr.Telemetry
 	}
-	if hcfg := heapProfileConfig(seed); hcfg.Enabled {
-		cfg.HeapProfile = hcfg
+	if instr.HeapProfile.Enabled {
+		cfg.HeapProfile = instr.HeapProfile
+		cfg.HeapProfile.Seed ^= seed
 	}
-	alloc := core.New(cfg, topo)
 	opts := workload.DefaultOptions(seed)
 	opts.Duration = duration
-	if hardening.Audit {
+	if instr.Audit {
 		opts.AuditEveryNs = duration / 8
 	}
-	res := workload.Run(p, alloc, opts)
-	if len(res.Violations) > 0 {
-		auditTrips.Add(1)
+	m := fleet.Machine{Platform: topology.Default(), App: p, Seed: seed}
+	rm, rt, _, err := fleet.RunMachineLifecycle(m, cfg, opts, fleet.LifecycleOptions{})
+	if err != nil {
+		panic(err)
 	}
-	if tel := alloc.Telemetry(); tel != nil {
-		tel.FlushGauges()
-		mergeTelemetry(tel.Registry())
+	run := Measures{Telemetry: rm.Telemetry, HeapProfiles: rm.HeapProfiles}
+	if len(rm.Result.Violations) > 0 {
+		run.AuditTrips = 1
 	}
-	recordHeapProfiles(p.Name, seed, alloc.HeapProfiles(""))
-	return res, alloc
+	r.add(run)
+	return rm.Result, rt
 }
 
 // benchMemoryDelta runs a dedicated-server benchmark profile under control

@@ -34,8 +34,8 @@ func fanOut(n int, fn func(i int) error) {
 
 // RunMany executes the named experiments, fanning out over the worker
 // pool, and returns their reports in argument order — independent of
-// completion order, per the sched determinism contract. Unknown names
-// fail before anything runs.
+// completion order, per the sched determinism contract — ready for
+// Fold. Unknown names fail before anything runs.
 func RunMany(names []string, seed uint64, scale Scale) ([]Report, error) {
 	runners := make([]Runner, len(names))
 	for i, name := range names {

@@ -297,7 +297,7 @@ func Fig15(seed uint64, scale Scale) Report {
 		PaperClaim: "HugeFiller holds 83.6% of in-use memory and 94.4% of pageheap fragmentation",
 	}
 	dur := scale.duration(200 * workload.Millisecond)
-	res, _ := runProfile(workload.Fleet(), core.BaselineConfig(), seed, dur)
+	res, _ := runProfile(&r, workload.Fleet(), core.BaselineConfig(), seed, dur)
 	h := res.Stats.Heap
 	used := float64(max64(h.UsedBytes, 1))
 	frag := float64(max64(h.FreeBytes, 1))
@@ -383,36 +383,11 @@ func Fig17(seed uint64, scale Scale) Report {
 		PaperClaim: "coverage 54.4% -> 56.2%; dTLB misses -8.1% (relative)",
 	}
 	f := fleet.New(fleetSize, seed)
-	opts := abOptions(scale)
-	base := core.BaselineConfig()
 	lt := designConfig(policy.DesignPoint{Filler: pageheap.FillerCapacity})
-	// Reuse the AB machinery but report coverage directly.
-	n := opts.MinMachines
-	stride := maxInt(1, len(f.Machines)/n)
-	covBs := make([]float64, n)
-	covAs := make([]float64, n)
-	fanOut(n, func(i int) error {
-		m := f.Machines[(i*stride)%len(f.Machines)]
-		wopts := workload.DefaultOptions(m.Seed)
-		wopts.Duration = opts.DurationNs
-		wopts.TimeWarpGamma = opts.TimeWarpGamma
-		cb := fleet.RunMachineOpts(m, base, wopts)
-		ca := fleet.RunMachineOpts(m, lt, wopts)
-		covBs[i] = cb.Coverage
-		covAs[i] = ca.Coverage
-		return nil
-	})
-	// Reduce in machine order so the mean is bit-identical at any -j.
-	var covB, covA float64
-	for i := 0; i < n; i++ {
-		covB += covBs[i]
-		covA += covAs[i]
-	}
-	covB /= float64(n)
-	covA /= float64(n)
+	res := f.ABTest(core.BaselineConfig(), lt, abOptions(scale))
+	covB, covA := res.CoverageControl, res.CoverageExperiment
 	r.addf("hugepage coverage: baseline %5.2f%%  lifetime-aware %5.2f%%  (delta %+.2f pp)",
 		covB*100, covA*100, (covA-covB)*100)
-	res := f.ABTest(base, lt, opts)
 	rel := 0.0
 	if res.Fleet.WalkBeforePct > 0 {
 		rel = (res.Fleet.WalkBeforePct - res.Fleet.WalkAfterPct) / res.Fleet.WalkBeforePct * 100

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sync/atomic"
-
 	"wsmalloc/internal/check"
 	"wsmalloc/internal/core"
 	"wsmalloc/internal/fleet"
@@ -11,36 +9,6 @@ import (
 	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
 )
-
-// Hardening applies optional sanitizer and fault-injection
-// instrumentation to every profile-driven experiment run. It backs the
-// cmd/experiments -audit and -chaos flags: -audit turns on the full
-// shadow heap plus periodic invariant audits, -chaos installs a small
-// deterministic mmap failure rate so every experiment also exercises the
-// allocator's degradation paths.
-type Hardening struct {
-	Audit bool
-	Chaos bool
-}
-
-var (
-	hardening Hardening
-	// auditTrips is bumped by concurrent profile runs when experiments
-	// fan out over the worker pool, hence atomic.
-	auditTrips atomic.Int64
-)
-
-// SetHardening installs the instrumentation mode and resets the trip
-// counter.
-func SetHardening(h Hardening) {
-	hardening = h
-	auditTrips.Store(0)
-}
-
-// AuditTrips returns how many profile runs ended with audit violations
-// since SetHardening. cmd/experiments exits non-zero when this is
-// positive.
-func AuditTrips() int64 { return auditTrips.Load() }
 
 // SelfTest is the sanitizer corruption self-test, runnable as the
 // "selftest" experiment: it injects one instance of each violation class

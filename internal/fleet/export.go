@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"net"
+	"net/http"
 	"os"
 	"time"
 
@@ -133,8 +135,14 @@ func (s RunSpec) Serve(w io.Writer, service string, x RunExport, status map[stri
 		}
 		pages = "/metricsz, /tracez, /heapz, /pageheapz"
 	}
-	fmt.Fprintf(w, "serving %s, /statusz and /healthz on %s\n", pages, s.ServeAddr)
-	if err := telemetry.ServeEndpoints(s.ServeAddr, ep); err != nil {
+	// Bind before announcing, so a ":0" address announces the port the
+	// kernel picked.
+	ln, err := net.Listen("tcp", s.ServeAddr)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
+	fmt.Fprintf(w, "serving %s, /statusz and /healthz on %s\n", pages, ln.Addr())
+	if err := http.Serve(ln, telemetry.NewMux(ep)); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil

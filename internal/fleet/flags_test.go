@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bufio"
 	"flag"
+	"fmt"
 	"io"
+	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 
 	"wsmalloc/internal/core"
@@ -78,5 +82,33 @@ func TestRunFlagsSpec(t *testing.T) {
 				t.Fatalf("spec %+v", s)
 			}
 		})
+	}
+}
+
+// TestServeAnnouncesBoundPort checks that -serve binds before it
+// announces: a ":0" server prints the port the kernel picked, and that
+// address answers /healthz.
+func TestServeAnnouncesBoundPort(t *testing.T) {
+	pr, pw := io.Pipe()
+	go func() {
+		err := RunSpec{ServeAddr: "127.0.0.1:0"}.Serve(pw, "test", RunExport{}, map[string]any{})
+		pw.CloseWithError(fmt.Errorf("Serve returned: %v", err))
+	}()
+	line, err := bufio.NewReader(pr).ReadString('\n')
+	if err != nil {
+		t.Fatalf("reading the announcement: %v", err)
+	}
+	_, addr, ok := strings.Cut(strings.TrimSpace(line), " on ")
+	if !ok || strings.HasSuffix(addr, ":0") {
+		t.Fatalf("announcement names no bound port: %q", line)
+	}
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("GET /healthz at the announced address: %v", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || strings.TrimSpace(string(body)) != "ok" {
+		t.Fatalf("/healthz: status %d body %q err %v", resp.StatusCode, body, err)
 	}
 }

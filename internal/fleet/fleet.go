@@ -282,6 +282,10 @@ type ABResult struct {
 	// (always populated — the decomposition is a pure read of each
 	// machine's end state).
 	Frag ABFrag
+	// CoverageControl and CoverageExperiment are each arm's
+	// time-averaged hugepage coverage, the mean over enrolled machines
+	// taken in enrolment order.
+	CoverageControl, CoverageExperiment float64
 }
 
 // ABOptions tune an experiment.
@@ -467,6 +471,7 @@ type pair struct {
 	dCPI         float64
 	llcB, llcA   float64
 	walkB, walkA float64
+	covC, covE   float64
 }
 
 // machineOutcome is everything one enrolled machine contributes to an
@@ -612,6 +617,8 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 		llcA:  me.LLCLoadMPKI,
 		walkB: walkB,
 		walkA: walkA,
+		covC:  c.Coverage,
+		covE:  e.Coverage,
 	}
 	return out, nil
 }
@@ -628,8 +635,11 @@ func mergeOutcomes(outcomes []machineOutcome, opts ABOptions) ABResult {
 	var tel *ABTelemetry
 	var hp *ABHeapProfiles
 	var frag ABFrag
+	var covC, covE float64
 	for _, o := range outcomes {
 		pairs = append(pairs, o.pair)
+		covC += o.pair.covC
+		covE += o.pair.covE
 		frag.Control.Accumulate(o.fragC)
 		frag.Experiment.Accumulate(o.fragE)
 		if o.telC != nil || o.telE != nil {
@@ -704,6 +714,9 @@ func mergeOutcomes(outcomes []machineOutcome, opts ABOptions) ABResult {
 		byApp[p.app] = append(byApp[p.app], p)
 	}
 	res := ABResult{Fleet: aggregate(pairs, "fleet"), Chaos: chaos, Telemetry: tel, HeapProfiles: hp, Frag: frag}
+	if n := float64(len(pairs)); n > 0 {
+		res.CoverageControl, res.CoverageExperiment = covC/n, covE/n
+	}
 	var names []string
 	for name := range byApp {
 		names = append(names, name)

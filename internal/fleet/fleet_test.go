@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wsmalloc/internal/core"
+	"wsmalloc/internal/pageheap"
 	"wsmalloc/internal/policy"
 	"wsmalloc/internal/transfercache"
 	"wsmalloc/internal/workload"
@@ -115,6 +116,40 @@ func TestABIdenticalConfigsNearZero(t *testing.T) {
 	res := f.ABTest(core.BaselineConfig(), core.BaselineConfig(), opts)
 	if math.Abs(res.Fleet.ThroughputPct) > 1e-9 || math.Abs(res.Fleet.MemoryPct) > 1e-9 {
 		t.Fatalf("identical configs must show zero delta: %+v", res.Fleet)
+	}
+}
+
+// TestABCoverageIsArmMean pins ABResult's per-arm coverage to the mean,
+// in enrolment order, of each enrolled machine's own run: what a caller
+// reading coverage would otherwise rerun both arms to get.
+func TestABCoverageIsArmMean(t *testing.T) {
+	f := New(30, 33)
+	opts := DefaultABOptions()
+	opts.MinMachines = 3
+	opts.DurationNs = 10 * workload.Millisecond
+	opts.TimeWarpGamma = 0.15
+	lt, err := core.ConfigForDesign(policy.DesignPoint{Filler: pageheap.FillerCapacity})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := f.ABTest(core.BaselineConfig(), lt, opts)
+	var wantC, wantE float64
+	idx := sampleIndices(len(f.Machines), opts)
+	for _, i := range idx {
+		m := f.Machines[i]
+		wopts := workload.DefaultOptions(m.Seed)
+		wopts.Duration = opts.DurationNs
+		wopts.TimeWarpGamma = opts.TimeWarpGamma
+		wantC += RunMachineOpts(m, core.BaselineConfig(), wopts).Coverage
+		wantE += RunMachineOpts(m, lt, wopts).Coverage
+	}
+	wantC /= float64(len(idx))
+	wantE /= float64(len(idx))
+	if res.CoverageControl != wantC || res.CoverageExperiment != wantE {
+		t.Fatalf("coverage control %v experiment %v, want %v %v", res.CoverageControl, res.CoverageExperiment, wantC, wantE)
+	}
+	if wantC <= 0 {
+		t.Fatalf("coverage %v: nothing measured", wantC)
 	}
 }
 

@@ -126,7 +126,7 @@ func SiteProfiler(win *Window, view string) (*profiler.Profiler, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := profiler.New(0)
+	prof := profiler.New()
 	for _, s := range p.Sites {
 		prof.AddSiteWeighted(s.ClassBytes, s.LifeExp, s.Objects, s.Bytes, float64(s.Samples))
 	}

@@ -1,8 +1,9 @@
-// Package profiler implements the GWP-style continuous profiling pipeline
-// the paper's characterization is built on (§2.2): byte-interval sampled
-// allocation profiles (TCMalloc samples one allocation per 2 MiB
-// allocated), size CDFs by object count and by bytes (Fig. 7), and the
-// size-binned lifetime distribution (Fig. 8).
+// Package profiler is the histogram fold behind the paper's
+// characterization figures (§2.2): size CDFs by object count and by
+// bytes (Fig. 7) and the size-binned lifetime distribution (Fig. 8). It
+// samples nothing itself: experiments fold whole allocation streams into
+// it with Record, and the profile warehouse folds heapprof's sampled,
+// unbiased site rows with AddSiteWeighted.
 package profiler
 
 import (
@@ -25,29 +26,20 @@ const (
 
 // Profiler accumulates allocation observations.
 type Profiler struct {
-	// intervalBytes is the sampling period (2 MiB in production); zero
-	// records every observation.
-	intervalBytes    int64
-	bytesUntilSample int64
-
 	sizeByCount *stats.LogHistogram
 	sizeByBytes *stats.LogHistogram
 
-	// life[sizeBin][lifeBin] counts sampled allocations.
+	// life[sizeBin][lifeBin] counts recorded allocations.
 	life [][]float64
 
 	samples int64
-	seen    int64
 }
 
-// New creates a profiler sampling one allocation per intervalBytes
-// allocated (0 = record everything).
-func New(intervalBytes int64) *Profiler {
+// New creates an empty profiler.
+func New() *Profiler {
 	p := &Profiler{
-		intervalBytes:    intervalBytes,
-		bytesUntilSample: intervalBytes,
-		sizeByCount:      stats.NewLogHistogram(sizeMinExp, sizeMaxExp),
-		sizeByBytes:      stats.NewLogHistogram(sizeMinExp, sizeMaxExp),
+		sizeByCount: stats.NewLogHistogram(sizeMinExp, sizeMaxExp),
+		sizeByBytes: stats.NewLogHistogram(sizeMinExp, sizeMaxExp),
 	}
 	p.life = make([][]float64, sizeMaxExp-sizeMinExp+1)
 	for i := range p.life {
@@ -56,32 +48,7 @@ func New(intervalBytes int64) *Profiler {
 	return p
 }
 
-// Observe feeds one allocation (with its eventual lifetime) through the
-// sampling filter. Byte-interval sampling picks large objects more often,
-// so each sample is reweighted by interval/size when estimating the
-// object-count CDF (the standard heap-profile unsampling), while each
-// sample represents one interval's worth of bytes for the byte CDF. The
-// lifetime matrix stays sample-weighted, matching the paper's "weighted
-// by the number of sampled allocations" (Fig. 8).
-func (p *Profiler) Observe(size int, lifetimeNs int64) {
-	p.seen++
-	if p.intervalBytes <= 0 {
-		p.Record(size, lifetimeNs)
-		return
-	}
-	p.bytesUntilSample -= int64(size)
-	if p.bytesUntilSample > 0 {
-		return
-	}
-	p.bytesUntilSample += p.intervalBytes
-	p.samples++
-	sz := float64(size)
-	p.sizeByCount.AddWeighted(sz, float64(p.intervalBytes)/sz)
-	p.sizeByBytes.AddWeighted(sz, float64(p.intervalBytes))
-	p.life[p.sizeBin(size)][p.lifeBin(lifetimeNs)]++
-}
-
-// Record records one allocation with unit weight (unsampled mode).
+// Record records one allocation with unit weight.
 func (p *Profiler) Record(size int, lifetimeNs int64) {
 	p.samples++
 	p.sizeByCount.Add(float64(size))
@@ -119,9 +86,6 @@ func (p *Profiler) lifeBin(ns int64) int {
 
 // Samples returns the number of recorded samples.
 func (p *Profiler) Samples() int64 { return p.samples }
-
-// Seen returns the number of observed (pre-sampling) allocations.
-func (p *Profiler) Seen() int64 { return p.seen }
 
 // SizeCDF evaluates both Fig. 7 curves at the given byte sizes, returning
 // (byCount, byBytes) cumulative fractions.

@@ -8,31 +8,8 @@ import (
 	"wsmalloc/internal/workload"
 )
 
-func TestSamplingInterval(t *testing.T) {
-	p := New(1 << 20) // one sample per MiB
-	for i := 0; i < 4096; i++ {
-		p.Observe(1024, 1000) // 4 MiB total
-	}
-	if p.Samples() < 3 || p.Samples() > 5 {
-		t.Fatalf("samples = %d, want ~4", p.Samples())
-	}
-	if p.Seen() != 4096 {
-		t.Fatalf("seen = %d", p.Seen())
-	}
-}
-
-func TestZeroIntervalRecordsEverything(t *testing.T) {
-	p := New(0)
-	for i := 0; i < 100; i++ {
-		p.Observe(64, 500)
-	}
-	if p.Samples() != 100 {
-		t.Fatalf("samples = %d", p.Samples())
-	}
-}
-
 func TestSizeCDFOrdering(t *testing.T) {
-	p := New(0)
+	p := New()
 	// 99 small objects and 1 large one dominating bytes.
 	for i := 0; i < 99; i++ {
 		p.Record(64, 1000)
@@ -48,7 +25,7 @@ func TestSizeCDFOrdering(t *testing.T) {
 }
 
 func TestLifetimeMatrixShape(t *testing.T) {
-	p := New(0)
+	p := New()
 	p.Record(64, int64(workload.Microsecond))
 	p.Record(64, int64(workload.Second))
 	p.Record(1<<20, workload.Day)
@@ -68,7 +45,7 @@ func TestLifetimeMatrixShape(t *testing.T) {
 }
 
 func TestShortAndLongLivedFractions(t *testing.T) {
-	p := New(0)
+	p := New()
 	for i := 0; i < 46; i++ {
 		p.Record(256, int64(500*workload.Microsecond))
 	}
@@ -79,7 +56,7 @@ func TestShortAndLongLivedFractions(t *testing.T) {
 	if math.Abs(got-0.46) > 1e-9 {
 		t.Fatalf("short fraction = %v", got)
 	}
-	p2 := New(0)
+	p2 := New()
 	for i := 0; i < 65; i++ {
 		p2.Record(2<<30, 2*workload.Day)
 	}
@@ -104,9 +81,9 @@ func TestFleetVsSPECLifetimeDiversity(t *testing.T) {
 			p.Record(size, prof.Lifetime.Sample(r, size))
 		}
 	}
-	fleet := New(0)
+	fleet := New()
 	record(fleet, workload.Fleet(), 50000)
-	spec := New(0)
+	spec := New()
 	record(spec, workload.SPECLike(), 50000)
 	fs := fleet.LifetimeEntropyBits()
 	ss := spec.LifetimeEntropyBits()
@@ -116,7 +93,7 @@ func TestFleetVsSPECLifetimeDiversity(t *testing.T) {
 }
 
 func TestStringRenders(t *testing.T) {
-	p := New(0)
+	p := New()
 	p.Record(64, 1000)
 	if s := p.String(); len(s) == 0 {
 		t.Fatal("empty render")
@@ -124,7 +101,7 @@ func TestStringRenders(t *testing.T) {
 }
 
 func TestBinClamping(t *testing.T) {
-	p := New(0)
+	p := New()
 	p.Record(1, 1)        // below both mins
 	p.Record(1<<45, 1e18) // above both maxes
 	if p.Samples() != 2 {

@@ -22,7 +22,6 @@ func (p *Profiler) AddSiteWeighted(sizeBytes, lifeDecadeExp int, objects, bytes,
 	}
 	p.life[p.sizeBin(sizeBytes)][li] += samples
 	p.samples += int64(samples)
-	p.seen += int64(samples)
 }
 
 // SizeXs returns the canonical CDF evaluation grid: every power-of-two

@@ -145,8 +145,8 @@ func NewMux(ep Endpoints) http.Handler {
 	return mux
 }
 
-// ServeEndpoints blocks serving the mux on addr; the CLIs call it after
-// a run when -serve is set so the operator can curl the pages.
+// ServeEndpoints blocks serving the mux on addr, so an embedder can curl
+// the pages after a run.
 func ServeEndpoints(addr string, ep Endpoints) error {
 	return http.ListenAndServe(addr, NewMux(ep))
 }

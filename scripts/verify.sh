@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate.
 #
-# Runs vet, build, the unit/property tests under the race detector
+# Runs a gofmt gate, vet, build, the unit/property tests under the race detector
 # (which covers the parallel fleet/experiment execution engine, its
 # determinism-equivalence tests, and the heap-profiler tests), a short
 # fuzz smoke on the fuzz targets (size classes, alloc/free, the profdiff
@@ -31,7 +31,8 @@
 # fleet chaos run) — themselves compiled with -race and fanned out over
 # the worker pool so shared stats aggregation is race-checked under real
 # parallelism — and three cross-process determinism smokes: telemetry +
-# heap-profile exports must be byte-identical at -j 1 vs -j 4, profdiff
+# heap-profile exports (fleet-ab's and the experiments fold over
+# fig5, fig9 and fig15) must be byte-identical at -j 1 vs -j 4, profdiff
 # over the identical exports must report zero deltas (exit 0), and a
 # 3-point designspace sweep must export byte-identical leaderboards at
 # any -j. The policy registry gets its own coverage gate: every
@@ -43,6 +44,14 @@ set -eu
 cd "$(dirname "$0")/.."
 
 FUZZTIME="${1:-5s}"
+
+echo "==> gofmt -l (must print nothing)"
+# .bench_build (perfbench's build directory) holds a module cache.
+UNFORMATTED="$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)"
+if [ -n "$UNFORMATTED" ]; then
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -67,7 +76,11 @@ echo "==> policy registry coverage (every registered policy allocates cleanly)"
 go test ./internal/policy/ -run TestRegistryCoverage -count 1
 
 TELDIR="$(mktemp -d)"
-trap 'rm -rf "$TELDIR"' EXIT
+# The daemon smokes run fleet-daemon in the background; a failing check
+# exits before their /admin/quit, so the trap stops them too.
+DPID=""
+RPID=""
+trap 'kill $DPID $RPID 2>/dev/null || true; rm -rf "$TELDIR"' EXIT
 
 echo "==> bench regression smoke (throughput vs committed BENCH_fleet.json bench_smoke baseline)"
 # Fixed iteration counts for the two A/B benches (each iteration is the
@@ -110,6 +123,18 @@ go run ./cmd/fleet-ab -machines 64 -duration-ms 20 -telemetry -heapprof -metrics
 go run ./cmd/fleet-ab -machines 64 -duration-ms 20 -telemetry -heapprof -metrics-out "$TELDIR/j4" -j 4 > /dev/null
 for ext in prom json mallocz heapz heapz.json; do
     cmp "$TELDIR/j1.$ext" "$TELDIR/j4.$ext"
+done
+
+echo "==> experiments telemetry + heapprof determinism smoke (-j 1 vs -j 4 folds byte-identical)"
+# fig5 shares its fleet run's profile and seed with fig15 and its
+# monarch run's with fig9; the reports fold in argument order, so every
+# run reaches the merged exports at any -j.
+for j in 1 4; do
+    go run ./cmd/experiments -scale smoke -telemetry -heapprof -metrics-out "$TELDIR/ex$j" -j "$j" \
+        fig5 fig9 fig15 > /dev/null
+done
+for ext in prom json mallocz heapz heapz.json; do
+    cmp "$TELDIR/ex1.$ext" "$TELDIR/ex4.$ext"
 done
 
 echo "==> profdiff smoke (identical runs diff to zero; exit 0)"
@@ -280,6 +305,7 @@ done
 [ "$ALERTED" -eq 1 ] # fault burst must trip the watchdog
 curl -fsS -X POST "http://$ADDR/admin/quit" > /dev/null
 wait "$DPID"
+DPID=""
 grep -q '"kind":"regression"' "$TELDIR/alerts.jsonl"
 
 echo "==> staged-rollout smoke (1% canary + burst -> automatic rollback; healthy candidate -> promotion)"
@@ -367,6 +393,7 @@ grep '^wsmalloc_design_point{' "$TELDIR/rollout.metricsz" \
     | grep -q 'design="percpu=hetero,tc=nuca,cfl=prio8,filler=capacity"'
 curl -fsS -X POST "http://$RADDR/admin/quit" > /dev/null
 wait "$RPID"
+RPID=""
 grep -q '"kind":"rollback"' "$TELDIR/rollout-alerts.jsonl"
 grep -q '"kind":"promotion"' "$TELDIR/rollout-alerts.jsonl"
 

@@ -94,8 +94,9 @@ type (
 	FaultPlan = mem.FaultPlan
 	// ChaosStats aggregates fault-injection outcomes over a fleet A/B.
 	ChaosStats = fleet.ChaosStats
-	// Hardening selects sanitizer/chaos instrumentation for experiments.
-	Hardening = experiments.Hardening
+	// ExperimentInstrumentation selects the sanitizer, fault-injection,
+	// telemetry and heap-profile instrumentation of experiment runs.
+	ExperimentInstrumentation = experiments.Instrumentation
 )
 
 // Crash-tolerance and machine-lifecycle types (ABOptions.Checkpoint,
@@ -225,25 +226,6 @@ func ServeTelemetry(addr string, ep TelemetryEndpoints) error {
 	return telemetry.ServeEndpoints(addr, ep)
 }
 
-// SetExperimentTelemetry instruments every subsequent profile-driven
-// experiment run (the cmd/experiments -telemetry flag) and resets the
-// aggregate registry returned by ExperimentTelemetry.
-func SetExperimentTelemetry(cfg TelemetryConfig) { experiments.SetTelemetry(cfg) }
-
-// ExperimentTelemetry returns the aggregate registry over every
-// experiment run since SetExperimentTelemetry (nil when disabled).
-func ExperimentTelemetry() *TelemetryRegistry { return experiments.TelemetryRegistry() }
-
-// SetExperimentHeapProfile attaches the sampled heap profiler to every
-// subsequent profile-driven experiment run (the cmd/experiments
-// -heapprof flag) and resets the collected profiles.
-func SetExperimentHeapProfile(cfg HeapProfileConfig) { experiments.SetHeapProfile(cfg) }
-
-// ExperimentHeapProfiles returns the deterministic merge of every
-// experiment run's profile views since SetExperimentHeapProfile (nil
-// when disabled).
-func ExperimentHeapProfiles() []HeapProfile { return experiments.HeapProfiles() }
-
 // Allocation-failure sentinels: errors.Is(err, ErrNoMemory) identifies an
 // out-of-memory failure from TryMalloc; ErrBadFree an invalid TryFree.
 var (
@@ -255,13 +237,12 @@ var (
 // every allocation shadow-tracked, every free verified.
 func FullCheckConfig() CheckConfig { return check.DefaultConfig() }
 
-// SetHardening applies sanitizer/fault-injection instrumentation to every
-// subsequent profile-driven experiment run (the -audit/-chaos flags).
-func SetHardening(h Hardening) { experiments.SetHardening(h) }
-
-// AuditTrips reports how many experiment runs ended with audit violations
-// since SetHardening.
-func AuditTrips() int64 { return experiments.AuditTrips() }
+// InstrumentExperiments installs the instrumentation of every subsequent
+// profile-driven experiment run (the cmd/experiments -audit, -chaos,
+// -telemetry and -heapprof flags). Each Report carries what its runs
+// measured in its Measures: the merged registry and heap profiles, and
+// the runs that tripped an audit.
+func InstrumentExperiments(in ExperimentInstrumentation) { experiments.Instrument(in) }
 
 // Experiment scales.
 const (
@@ -392,8 +373,10 @@ func NewFleet(n int, seed uint64) *Fleet { return fleet.New(n, seed) }
 // DefaultABOptions returns the standard fleet experiment setup.
 func DefaultABOptions() ABOptions { return fleet.DefaultABOptions() }
 
-// Experiment returns the named paper experiment ("fig3".."fig17",
-// "table1", "table2", "combined", "ablation-*").
+// Experiment returns the named paper experiment: "fig3".."fig17",
+// "table1", "table2", "combined", "designspace", "ablation-l",
+// "ablation-c", "ablation-capacity", "selftest", "chaos", "lifecycle" or
+// "churn".
 func Experiment(name string) (experiments.Runner, bool) {
 	return experiments.ByName(name)
 }

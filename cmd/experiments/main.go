@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments [-seed N] [-scale smoke|quick|full] [-j N] [-audit] [-chaos]
-//	            [-telemetry] [-metrics-out BASE]
+//	            [-telemetry] [-heapprof] [-metrics-out BASE]
 //	            [-design POINTS] [-design-out BASE] [all|<name>...]
 //
 // Names are fig3..fig17, table1, table2, combined, designspace,
@@ -15,19 +15,21 @@
 // the default is all cores, -j 1 is the sequential legacy path, and the
 // output is bit-identical at any -j for the same seed.
 //
-// -audit runs every profile under the full shadow-heap sanitizer with
-// periodic invariant audits; -chaos additionally injects a deterministic
-// mmap failure rate. The command exits non-zero if any audit trips or a
-// self-checking experiment fails.
+// -audit runs every profile-driven run (Figs. 5, 6b, 9, 15) under the
+// full shadow-heap sanitizer with periodic invariant audits; -chaos
+// additionally injects a deterministic mmap failure rate into those runs.
+// The fleet A/B figures are neither audited nor chaos-injected. The
+// command exits non-zero if any audit trips or a self-checking
+// experiment fails.
 //
-// -telemetry instruments every profile-driven run; each report carries
-// its runs' merged registry, and the reports fold in argument order into
-// one aggregate, dumped mallocz-style after the reports; -metrics-out
-// writes BASE.prom, BASE.json and BASE.mallocz instead. -heapprof
-// additionally attaches the sampled heap profiler to every
-// profile-driven run and dumps the merged heapz/allocz/peakheapz views
-// (BASE.heapz and BASE.heapz.json with -metrics-out), folded the same
-// way.
+// -telemetry instruments every profile-driven run (Figs. 5, 6b, 9, 15);
+// each report carries its runs' merged registry, and the reports fold in
+// argument order into one aggregate, dumped mallocz-style after the
+// reports; -metrics-out writes BASE.prom, BASE.json and BASE.mallocz
+// instead. -heapprof additionally attaches the sampled heap profiler to
+// every profile-driven run and dumps the merged heapz/allocz/peakheapz
+// views (BASE.heapz and BASE.heapz.json with -metrics-out), folded the
+// same way.
 //
 // -design selects the points swept by the "designspace" experiment as a
 // semicolon-separated list of design-point strings
@@ -51,8 +53,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic simulation seed")
 	scaleName := flag.String("scale", "quick", "experiment scale: smoke, quick, or full")
 	workers := flag.Int("j", 0, "worker pool size for parallel execution (0 = all cores, 1 = sequential)")
-	audit := flag.Bool("audit", false, "run profiles under the shadow-heap sanitizer with periodic invariant audits")
-	chaos := flag.Bool("chaos", false, "inject a deterministic mmap failure rate into every profile run")
+	audit := flag.Bool("audit", false, "run every profile-driven run (Figs. 5, 6b, 9, 15) under the shadow-heap sanitizer with periodic invariant audits")
+	chaos := flag.Bool("chaos", false, "inject a deterministic mmap failure rate into every profile-driven run (Figs. 5, 6b, 9, 15)")
 	telemetryOn := flag.Bool("telemetry", false, "instrument every profile run and dump the aggregate metrics registry")
 	heapprofOn := flag.Bool("heapprof", false, "attach the sampled heap profiler to every profile run and dump the merged views")
 	metricsOut := flag.String("metrics-out", "", "write aggregated telemetry to BASE.prom, BASE.json and BASE.mallocz (implies -telemetry)")

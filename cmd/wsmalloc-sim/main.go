@@ -167,13 +167,7 @@ func main() {
 
 	x := fleet.RunExport{Profiles: rm.HeapProfiles, Process: rt.Alloc(), WritePageHeapZ: *pageheapzOn}
 	if rm.Telemetry != nil {
-		// A plain run is stamped at the allocator's clock; a lifecycle
-		// run at the nominal end, which a resumed run shares.
-		at := x.Process.Now()
-		if lc.Enabled() {
-			at = opts.Duration
-		}
-		snap := rm.Telemetry.Snapshot(label, at)
+		snap := rm.Telemetry.Snapshot(label, x.Process.Now())
 		snap.Design = design
 		x.Snapshots = []telemetry.Snapshot{snap}
 	}

@@ -29,11 +29,6 @@ var ErrNoMemory = mem.ErrNoMemory
 // unmodified by a rejected free.
 var ErrBadFree = errors.New("core: invalid free")
 
-// SampleFunc observes sampled allocations (one per SampleIntervalBytes),
-// mirroring TCMalloc's production heap sampling that feeds Google-Wide
-// Profiling. size is the requested size; now is virtual time in ns.
-type SampleFunc func(addr uint64, size int, now int64)
-
 // Allocator is the composed TCMalloc model for one process on one
 // machine.
 type Allocator struct {
@@ -61,7 +56,6 @@ type Allocator struct {
 
 	now int64
 
-	onSample         SampleFunc
 	bytesUntilSample int64
 
 	lastPlunder, lastRelease int64
@@ -248,12 +242,12 @@ func (b cflBacking) AllocBatch(class int, out []uint64) (int, error) {
 	heapAllocs := a.heap.Allocs()
 	mmaps := a.os.MmapCalls()
 	n, err := a.cfls[class].AllocBatch(out)
-	a.t.timeCFL += a.cfg.Latency.CentralFreeList
+	a.t.timeCFL += latCentralFreeList
 	if d := a.heap.Allocs() - heapAllocs; d > 0 {
-		a.t.timePageHeap += a.cfg.Latency.PageHeap * float64(d)
+		a.t.timePageHeap += latPageHeap * float64(d)
 	}
 	if d := a.os.MmapCalls() - mmaps; d > 0 {
-		a.t.timeMmap += a.cfg.Latency.Mmap * float64(d)
+		a.t.timeMmap += latMmap * float64(d)
 	}
 	return n, err
 }
@@ -261,7 +255,7 @@ func (b cflBacking) AllocBatch(class int, out []uint64) (int, error) {
 func (b cflBacking) FreeBatch(class int, objs []uint64) {
 	a := b.a
 	a.cfls[class].FreeBatch(objs)
-	a.t.timeCFL += a.cfg.Latency.CentralFreeList
+	a.t.timeCFL += latCentralFreeList
 }
 
 // frontBacking adapts the transfer cache layer to the per-CPU cache's
@@ -270,17 +264,14 @@ type frontBacking struct{ a *Allocator }
 
 func (b frontBacking) Alloc(class, domain int, out []uint64) (int, error) {
 	n, err := b.a.transfer.Alloc(class, domain, out)
-	b.a.t.timeTransfer += b.a.cfg.Latency.Transfer
+	b.a.t.timeTransfer += latTransfer
 	return n, err
 }
 
 func (b frontBacking) Free(class, domain int, objs []uint64) {
 	b.a.transfer.Free(class, domain, objs)
-	b.a.t.timeTransfer += b.a.cfg.Latency.Transfer
+	b.a.t.timeTransfer += latTransfer
 }
-
-// SetSampleFunc installs the sampled-allocation observer.
-func (a *Allocator) SetSampleFunc(fn SampleFunc) { a.onSample = fn }
 
 // Now returns the allocator's virtual time.
 func (a *Allocator) Now() int64 { return a.now }
@@ -335,9 +326,8 @@ func (a *Allocator) TryMallocHinted(size, cpu int, shortLived bool) (uint64, flo
 }
 
 func (a *Allocator) malloc(size, cpu int, largeLT pageheap.Lifetime) (uint64, float64, error) {
-	lat := &a.cfg.Latency
-	cost := lat.Other
-	a.t.timeOther += lat.Other
+	cost := latOther
+	a.t.timeOther += latOther
 
 	var addr uint64
 	class, small := a.table.ClassFor(size)
@@ -359,16 +349,16 @@ func (a *Allocator) malloc(size, cpu int, largeLT pageheap.Lifetime) (uint64, fl
 			}
 		}
 		addr = got
-		a.t.timeCPUCache += lat.CPUCache
-		cost += lat.CPUCache
+		a.t.timeCPUCache += latCPUCache
+		cost += latCPUCache
 		if !hit {
 			cost += a.timeSnapshot() - start
 		}
 		// TCMalloc prefetches the next object of the same class on every
 		// allocation; costly (16% of malloc cycles) but key for data
 		// cache locality (§3).
-		a.t.timePrefetch += lat.Prefetch
-		cost += lat.Prefetch
+		a.t.timePrefetch += latPrefetch
+		cost += latPrefetch
 		a.t.liveRounded += int64(class.Size)
 	} else {
 		pages := (size + mem.PageSize - 1) / mem.PageSize
@@ -388,11 +378,11 @@ func (a *Allocator) malloc(size, cpu int, largeLT pageheap.Lifetime) (uint64, fl
 		}
 		addr = got
 		a.pagemap.SetRange(start, pages, uint32(id), span.ClassTag(span.LargeClass))
-		a.t.timePageHeap += lat.PageHeap
-		cost += lat.PageHeap
+		a.t.timePageHeap += latPageHeap
+		cost += latPageHeap
 		if d := a.os.MmapCalls() - mmaps; d > 0 {
-			a.t.timeMmap += lat.Mmap * float64(d)
-			cost += lat.Mmap * float64(d)
+			a.t.timeMmap += latMmap * float64(d)
+			cost += latMmap * float64(d)
 		}
 		a.t.liveRounded += int64(pages) * mem.PageSize
 		a.t.largeLiveRounded += int64(pages) * mem.PageSize
@@ -440,11 +430,8 @@ func (a *Allocator) malloc(size, cpu int, largeLT pageheap.Lifetime) (uint64, fl
 		if a.bytesUntilSample <= 0 {
 			a.bytesUntilSample += a.cfg.SampleIntervalBytes
 			a.t.sampled++
-			a.t.timeSampled += lat.Sampled
-			cost += lat.Sampled
-			if a.onSample != nil {
-				a.onSample(addr, size, a.now)
-			}
+			a.t.timeSampled += latSampled
+			cost += latSampled
 		}
 	}
 	return addr, cost, nil
@@ -474,8 +461,6 @@ func (a *Allocator) Free(addr uint64, size, cpu int) float64 {
 // shadow's record of the address is consumed by the rejected free, so a
 // later free of the same address reports double-free.)
 func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
-	lat := &a.cfg.Latency
-
 	// The pagemap caches each page's size class, so a small free never
 	// touches its span here.
 	id, tag := a.pagemap.Lookup(mem.PageID(addr >> mem.PageShift))
@@ -497,16 +482,16 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 		}
 	}
 
-	cost := lat.Other
-	a.t.timeOther += lat.Other
+	cost := latOther
+	a.t.timeOther += latOther
 	a.t.frees++
 	if class == span.LargeClass {
 		s := a.spans.At(span.ID(id))
 		a.spans.FreeAddr(span.ID(id), addr)
 		a.pagemap.ClearRange(s.Start, s.Pages)
 		a.heap.Free(s.Start, s.Pages)
-		a.t.timePageHeap += lat.PageHeap
-		cost += lat.PageHeap
+		a.t.timePageHeap += latPageHeap
+		cost += latPageHeap
 		a.t.liveRounded -= s.Bytes()
 		a.t.largeLiveRounded -= s.Bytes()
 		a.t.largeLiveBytes -= int64(size)
@@ -522,8 +507,8 @@ func (a *Allocator) TryFree(addr uint64, size, cpu int) (float64, error) {
 		vcpu := a.vmap.Assign(cpu)
 		start := a.timeSnapshot()
 		hit := a.front.Free(vcpu, class, addr)
-		a.t.timeCPUCache += lat.CPUCache
-		cost += lat.CPUCache
+		a.t.timeCPUCache += latCPUCache
+		cost += latCPUCache
 		if !hit {
 			cost += a.timeSnapshot() - start
 		}
@@ -553,14 +538,14 @@ func (a *Allocator) Tick(now int64) {
 	a.now = now
 	a.front.MaybeResize(now)
 	a.front.MaybeDecay(now)
-	if a.cfg.PlunderIntervalNs > 0 && now-a.lastPlunder >= a.cfg.PlunderIntervalNs {
+	if now-a.lastPlunder >= plunderIntervalNs {
 		a.lastPlunder = now
 		a.transfer.Plunder()
 	}
 	if a.cfg.ReleaseIntervalNs > 0 && now-a.lastRelease >= a.cfg.ReleaseIntervalNs {
 		a.lastRelease = now
 		hs := a.heap.Stats()
-		slack := int64(a.cfg.ReleaseSlackFraction * float64(hs.UsedBytes))
+		slack := int64(releaseSlackFraction * float64(hs.UsedBytes))
 		if excess := hs.FreeBytes - slack; excess > 0 {
 			if excess > a.cfg.ReleaseBytesPerInterval {
 				excess = a.cfg.ReleaseBytesPerInterval

@@ -19,41 +19,37 @@ import (
 	"wsmalloc/internal/transfercache"
 )
 
-// TierLatencyNs holds the cost model constants, calibrated to the mean
+// The tier cost model, in ns per interaction, calibrated to the mean
 // allocation latencies the paper measures per cache tier (Fig. 4).
-type TierLatencyNs struct {
-	// CPUCache is the restartable-sequence fast path (~40 instructions).
-	CPUCache float64
-	// Transfer is a mutex-protected transfer cache interaction.
-	Transfer float64
-	// CentralFreeList is a span-list interaction.
-	CentralFreeList float64
-	// PageHeap is a hugepage-filler interaction.
-	PageHeap float64
-	// Mmap is a zero-filled 2 MiB hugepage request from the OS.
-	Mmap float64
-	// Prefetch is the next-object prefetch issued on every allocation.
-	Prefetch float64
-	// Sampled is the extra cost of recording a sampled allocation's
+const (
+	// latCPUCache is the restartable-sequence fast path (~40
+	// instructions).
+	latCPUCache = 3.1
+	// latTransfer is a mutex-protected transfer cache interaction.
+	latTransfer = 21.4
+	// latCentralFreeList is a span-list interaction.
+	latCentralFreeList = 59.3
+	// latPageHeap is a hugepage-filler interaction.
+	latPageHeap = 137.4
+	// latMmap is a zero-filled 2 MiB hugepage request from the OS.
+	latMmap = 12916.7
+	// latPrefetch is the next-object prefetch issued on every
+	// allocation.
+	latPrefetch = 1.85
+	// latSampled is the extra cost of recording a sampled allocation's
 	// stack trace.
-	Sampled float64
-	// Other covers unclassified bookkeeping per operation.
-	Other float64
-}
+	latSampled = 2600
+	// latOther covers unclassified bookkeeping per operation.
+	latOther = 0.25
+)
 
-// DefaultTierLatency returns the Fig. 4 calibration.
-func DefaultTierLatency() TierLatencyNs {
-	return TierLatencyNs{
-		CPUCache:        3.1,
-		Transfer:        21.4,
-		CentralFreeList: 59.3,
-		PageHeap:        137.4,
-		Mmap:            12916.7,
-		Prefetch:        1.85,
-		Sampled:         2600,
-		Other:           0.25,
-	}
-}
+// The background-duty constants: idle NUCA transfer caches are
+// plundered every plunderIntervalNs, and the gradual release to the OS
+// keeps free memory up to releaseSlackFraction of in-use memory.
+const (
+	plunderIntervalNs    = 10e6
+	releaseSlackFraction = 0.10
+)
 
 // Config selects the design point: each tier's config names its policy
 // in one enum field, so each of the paper's four redesigns can be
@@ -70,24 +66,17 @@ type Config struct {
 	// PageHeap configures the back-end (lifetime-aware filler, §4.4).
 	PageHeap pageheap.Config
 
-	// Latency is the tier cost model.
-	Latency TierLatencyNs
-
 	// SampleIntervalBytes triggers one sampled allocation per this many
 	// allocated bytes (the paper: 2 MiB). Zero disables sampling.
 	SampleIntervalBytes int64
 
-	// PlunderIntervalNs is how often idle NUCA transfer caches are
-	// plundered.
-	PlunderIntervalNs int64
 	// ReleaseIntervalNs and ReleaseBytesPerInterval implement the
 	// gradual background release to the OS: every interval, free memory
-	// beyond ReleaseSlackFraction of in-use memory is released, at most
+	// beyond releaseSlackFraction of in-use memory is released, at most
 	// ReleaseBytesPerInterval at a time (the paper: TCMalloc releases
 	// memory gradually, prioritizing whole hugepages, §3).
 	ReleaseIntervalNs       int64
 	ReleaseBytesPerInterval int64
-	ReleaseSlackFraction    float64
 
 	// Check configures the heap-integrity sanitizer: a shadow heap that
 	// independently records every allocation and verifies every free
@@ -116,10 +105,9 @@ type Config struct {
 // design space: each tier's baseline configuration with the design's
 // policy selected (the stealing per-CPU policies run at the halved
 // 1.5 MiB budget, and the occupancy-list span policies keep the paper's
-// L = 8 lists), plus the tier-independent constants (latency model,
-// sampling interval, release cadence). Telemetry, heap profiling,
-// sanitizer and fault injection stay at their zero (disabled) values —
-// callers opt in per run.
+// L = 8 lists), plus the tier-independent sampling interval and release
+// cadence. Telemetry, heap profiling, sanitizer and fault injection stay
+// at their zero (disabled) values — callers opt in per run.
 func ConfigForDesign(d policy.DesignPoint) (Config, error) {
 	if err := d.Validate(); err != nil {
 		return Config{}, err
@@ -138,12 +126,9 @@ func ConfigForDesign(d policy.DesignPoint) (Config, error) {
 		Transfer:                tc,
 		CFL:                     cfl,
 		PageHeap:                ph,
-		Latency:                 DefaultTierLatency(),
 		SampleIntervalBytes:     2 << 20,
-		PlunderIntervalNs:       10e6,
 		ReleaseIntervalNs:       5e6,
 		ReleaseBytesPerInterval: 64 << 20,
-		ReleaseSlackFraction:    0.10,
 	}, nil
 }
 

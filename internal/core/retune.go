@@ -15,9 +15,9 @@ import (
 // class under the heap's new filler policy (the heap swap moves no
 // spans, so it commutes with the lists' refiling).
 //
-// Only the four tier configurations change; the tier-independent knobs
-// (latency model, sampling interval, release cadence, telemetry,
-// fault plan) keep their construction-time values. The applied design's
+// Only the four tier configurations change; the tier-independent
+// settings (sampling interval, release cadence, telemetry, fault plan)
+// keep their construction-time values. The applied design's
 // canonical string is recorded for snapshots and telemetry, so a
 // checkpoint taken after the swap resumes bit-identically.
 func (a *Allocator) ApplyDesignPoint(d policy.DesignPoint) error {

@@ -57,24 +57,6 @@ func BenchmarkDaemonTick(b *testing.B) { benchTicks(b, true) }
 // two benchmarks — see BenchmarkDaemonObserveOverhead.
 func BenchmarkDaemonTickBare(b *testing.B) { benchTicks(b, false) }
 
-// BenchmarkDaemonObserveOverhead measures the observability overhead
-// directly: an observed and a telemetry-off daemon advance alternately
-// within the same timed loop, so both arms share every load window and
-// machine-speed drift cancels out of the quotient. (Two sequential
-// benchmarks can't measure this on a shared machine: ~25 ms ticks
-// drift with neighbor load far more than the effect being measured.)
-//
-// One iteration is a block of 8 tick pairs — wide enough (~200 ms)
-// that per-block timing jitter stays small relative to the quotient —
-// with the arm order swapped pair by pair to cancel
-// which-arm-runs-first cache effects. The reported off/on metric
-// (telemetry-off time over observed time) is the trimmed mean over
-// blocks: trimming ejects the blocks a GC cycle or a scheduler
-// preemption landed in, which would otherwise swing the quotient by
-// several points. scripts/verify.sh gates the metric at >= 0.95:
-// steady-state observability must cost under 5% per tick. Deep-view
-// renders are demand-driven (see Config.IntrospectEveryTicks) and
-// attributed to scraping, not to the ambient per-tick budget.
 // gwpBenchConfig is the observed daemon with continuous profiling on:
 // the production cadence (16-tick windows, ~1% sample floored at one
 // machine) against a throwaway warehouse.
@@ -179,6 +161,24 @@ func BenchmarkDaemonGwpOverhead(b *testing.B) {
 	b.ReportMetric(sum/float64(len(kept)), "on/gwp")
 }
 
+// BenchmarkDaemonObserveOverhead measures the observability overhead
+// directly: an observed and a telemetry-off daemon advance alternately
+// within the same timed loop, so both arms share every load window and
+// machine-speed drift cancels out of the quotient. (Two sequential
+// benchmarks can't measure this on a shared machine: ~25 ms ticks
+// drift with neighbor load far more than the effect being measured.)
+//
+// One iteration is a block of 8 tick pairs — wide enough (~200 ms)
+// that per-block timing jitter stays small relative to the quotient —
+// with the arm order swapped pair by pair to cancel
+// which-arm-runs-first cache effects. The reported off/on metric
+// (telemetry-off time over observed time) is the trimmed mean over
+// blocks: trimming ejects the blocks a GC cycle or a scheduler
+// preemption landed in, which would otherwise swing the quotient by
+// several points. scripts/verify.sh gates the metric at >= 0.95:
+// steady-state observability must cost under 5% per tick. Deep-view
+// renders are demand-driven (see introspectEveryTicks) and
+// attributed to scraping, not to the ambient per-tick budget.
 func BenchmarkDaemonObserveOverhead(b *testing.B) {
 	on, err := New(benchConfig(1, true))
 	if err != nil {

@@ -72,10 +72,9 @@ type Config struct {
 	// ChurnPerTick is the per-machine probability of a cold restart at
 	// each tick boundary; RestartOnOOM cold-restarts a machine whose
 	// allocation failed instead of dropping ops, capped per tick by
-	// MaxOOMRestartsPerTick.
-	ChurnPerTick          float64
-	RestartOnOOM          bool
-	MaxOOMRestartsPerTick int
+	// maxOOMRestartsPerTick.
+	ChurnPerTick float64
+	RestartOnOOM bool
 	// Observe enables the whole observability pipeline (telemetry,
 	// sketches, ring, watchdog, exports). Off, the daemon only advances
 	// the simulation — the baseline the benchgate overhead gate
@@ -89,14 +88,6 @@ type Config struct {
 	TraceCapacity int
 	// RingCapacity bounds the per-tick series ring.
 	RingCapacity int
-	// IntrospectEveryTicks caps how often the machine-0 deep views
-	// (/heapz, /pageheapz, /tracez) are refreshed. Rendering them means
-	// sorting the heap-profile sites and walking the pageheap, so they
-	// refresh at most every N ticks (default 8) and only when a deep
-	// view was scraped since the last render — an unwatched daemon
-	// renders them once at startup and never again. Set 1 to allow a
-	// refresh on every tick.
-	IntrospectEveryTicks int
 	// Watchdog configures the regression watchdog; AlertLog appends one
 	// JSON alert per line; WebhookURL receives each alert as a POST
 	// (best-effort, asynchronous).
@@ -107,8 +98,6 @@ type Config struct {
 	// behind POST /admin/rollout (see rollout.go). Zero fields take
 	// DefaultRolloutConfig values.
 	Rollout RolloutConfig
-	// AlertRingCapacity bounds /alertz retention.
-	AlertRingCapacity int
 	// GWP configures continuous fleet profiling: every
 	// GWP.CollectEveryTicks ticks a rotating ~1% sample of the enrolled
 	// machines is profiled into one warehouse window. Requires Observe.
@@ -125,29 +114,40 @@ type Config struct {
 	MaxTicks int64
 }
 
+// The daemon's fixed limits: at most maxOOMRestartsPerTick OOM cold
+// restarts per machine per tick, /alertz retains the newest
+// alertRingCapacity alerts, and the machine-0 deep views (/heapz,
+// /pageheapz, /tracez) refresh at most every introspectEveryTicks
+// ticks. Rendering those views means sorting the heap-profile sites and
+// walking the pageheap, so they also refresh only when a deep view was
+// scraped since the last render: an unwatched daemon renders them once
+// at startup and never again.
+const (
+	maxOOMRestartsPerTick = 4
+	alertRingCapacity     = 256
+	introspectEveryTicks  = 8
+)
+
 // DefaultConfig returns a runnable daemon configuration: a small
 // enrolled fleet under diurnal churn with the full observability
 // pipeline on.
 func DefaultConfig(seed uint64) Config {
 	return Config{
-		Machines:              64,
-		SampleFraction:        0.25,
-		MinMachines:           4,
-		Seed:                  seed,
-		AllocConfig:           core.OptimizedConfig(),
-		Design:                "optimized",
-		TickNs:                2_000_000,  // 2ms virtual per tick
-		DiurnalPeriodNs:       16_000_000, // 16ms diurnal period
-		ChurnPerTick:          0.002,
-		MaxOOMRestartsPerTick: 4,
-		Observe:               true,
-		HeapProfile:           true,
-		TraceCapacity:         2048,
-		RingCapacity:          256,
-		IntrospectEveryTicks:  8,
-		Watchdog:              DefaultWatchdogConfig(),
-		AlertRingCapacity:     256,
-		Rollout:               DefaultRolloutConfig(),
+		Machines:        64,
+		SampleFraction:  0.25,
+		MinMachines:     4,
+		Seed:            seed,
+		AllocConfig:     core.OptimizedConfig(),
+		Design:          "optimized",
+		TickNs:          2_000_000,  // 2ms virtual per tick
+		DiurnalPeriodNs: 16_000_000, // 16ms diurnal period
+		ChurnPerTick:    0.002,
+		Observe:         true,
+		HeapProfile:     true,
+		TraceCapacity:   2048,
+		RingCapacity:    256,
+		Watchdog:        DefaultWatchdogConfig(),
+		Rollout:         DefaultRolloutConfig(),
 	}
 }
 
@@ -320,17 +320,8 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Machines <= 0 || cfg.TickNs <= 0 {
 		return nil, fmt.Errorf("daemon: config needs Machines > 0 and TickNs > 0 (start from DefaultConfig)")
 	}
-	if cfg.MaxOOMRestartsPerTick <= 0 {
-		cfg.MaxOOMRestartsPerTick = 4
-	}
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = 256
-	}
-	if cfg.AlertRingCapacity <= 0 {
-		cfg.AlertRingCapacity = 256
-	}
-	if cfg.IntrospectEveryTicks <= 0 {
-		cfg.IntrospectEveryTicks = 1
 	}
 	if cfg.DiurnalPeriodNs <= 0 {
 		cfg.DiurnalPeriodNs = 8 * cfg.TickNs
@@ -355,7 +346,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:     cfg,
 		ring:    telemetry.NewSeriesRing(cfg.RingCapacity),
 		wd:      newWatchdog(cfg.Watchdog),
-		alerts:  newAlertRing(cfg.AlertRingCapacity),
+		alerts:  newAlertRing(alertRingCapacity),
 		quitCh:  make(chan struct{}),
 		started: time.Now(),
 	}
@@ -505,7 +496,7 @@ func (ms *member) advance(tickEnd int64, cfg Config, burst bool) {
 
 	// Past the per-tick OOM cap the machine is thrashing: the rest of the
 	// tick stays unsimulated and the machine resumes next tick.
-	res, capped := ms.rt.RunUntil(tickEnd, cfg.MaxOOMRestartsPerTick)
+	res, capped := ms.rt.RunUntil(tickEnd, maxOOMRestartsPerTick)
 	ms.stalled = capped
 	ms.started = true
 
@@ -618,7 +609,7 @@ func (d *Daemon) publishTick(snap telemetry.Snapshot, skVals []telemetry.SketchV
 	// refresh at the introspection cadence and only while watched: the
 	// initial publish always renders, after that only if a deep-view
 	// page was scraped since the last render.
-	if d.tick%int64(d.cfg.IntrospectEveryTicks) == 0 &&
+	if d.tick%introspectEveryTicks == 0 &&
 		(d.tick == 0 || d.introspectWanted.Swap(false)) {
 		a0 := d.machines[0].rt.Alloc()
 		if d.cfg.HeapProfile {
@@ -758,11 +749,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-d.quitCh:
-			return d.maybeCheckpoint(true)
+			return d.maybeCheckpoint()
 		default:
 		}
 		if d.forceCkpt.CompareAndSwap(true, false) {
-			if err := d.maybeCheckpoint(true); err != nil {
+			if err := d.maybeCheckpoint(); err != nil {
 				return err
 			}
 		}
@@ -771,7 +762,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-d.quitCh:
-				return d.maybeCheckpoint(true)
+				return d.maybeCheckpoint()
 			case <-time.After(20 * time.Millisecond):
 			}
 			continue
@@ -780,11 +771,11 @@ func (d *Daemon) Run(ctx context.Context) error {
 			return err
 		}
 		if d.cfg.MaxTicks > 0 && d.tick >= d.cfg.MaxTicks {
-			return d.maybeCheckpoint(true)
+			return d.maybeCheckpoint()
 		}
 		every := d.cfg.CheckpointEveryTicks
 		if every > 0 && d.tick%int64(every) == 0 {
-			if err := d.maybeCheckpoint(false); err != nil {
+			if err := d.maybeCheckpoint(); err != nil {
 				return err
 			}
 		}
@@ -793,7 +784,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 			case <-ctx.Done():
 				return ctx.Err()
 			case <-d.quitCh:
-				return d.maybeCheckpoint(true)
+				return d.maybeCheckpoint()
 			case <-time.After(d.cfg.TickWall):
 			}
 		}
@@ -801,7 +792,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 }
 
 // maybeCheckpoint checkpoints when a directory is configured.
-func (d *Daemon) maybeCheckpoint(bool) error {
+func (d *Daemon) maybeCheckpoint() error {
 	if d.cfg.CheckpointDir == "" {
 		return nil
 	}

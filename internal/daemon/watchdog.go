@@ -2,7 +2,7 @@
 // canonical export with internal/profdiff and compares each watched
 // metric against a sliding median baseline. A relative change beyond
 // the configured threshold raises a structured regression alert; when
-// the metric stays back inside the threshold for RecoveryTicks
+// the metric stays back inside the threshold for recoveryTicks
 // consecutive ticks, a matching recovery alert clears it. The baseline
 // window freezes while a metric is alerting so an ongoing incident
 // cannot normalize itself into the baseline.
@@ -27,39 +27,35 @@ type WatchdogConfig struct {
 	Window int
 	Warmup int
 	// RateThreshold is the relative change (vs the median per-tick
-	// rate) that fires for Rates metrics; ValueThreshold likewise for
-	// Values metrics. A threshold of 1.0 means "2x the baseline".
-	RateThreshold  float64
-	ValueThreshold float64
+	// rate) that fires an alert. A threshold of 1.0 means "2x the
+	// baseline".
+	RateThreshold float64
 	// Rates lists cumulative counters watched as per-tick rates (the
-	// flattened metric names of the daemon's own export); Values lists
-	// gauges watched as levels.
-	Rates  []string
-	Values []string
+	// flattened metric names of the daemon's own export).
+	Rates []string
 	// MinRate suppresses rate alerts whose baseline is below this many
 	// events per tick — relative change over a near-zero base is noise.
 	MinRate float64
-	// RecoveryTicks is how many consecutive in-threshold ticks clear an
-	// alerting metric.
-	RecoveryTicks int
 }
+
+// recoveryTicks is how many consecutive in-threshold ticks clear an
+// alerting metric.
+const recoveryTicks = 2
 
 // DefaultWatchdogConfig watches the cache-hierarchy miss rates and the
 // OS mapping rate — the signals a fleet-wide cold-restart storm (or a
 // real allocator regression) moves first.
 func DefaultWatchdogConfig() WatchdogConfig {
 	return WatchdogConfig{
-		Window:         16,
-		RateThreshold:  1.0,
-		ValueThreshold: 0.5,
+		Window:        16,
+		RateThreshold: 1.0,
 		Rates: []string{
 			"percpu_miss_total",
 			"transfer_miss_total",
 			"cfl_span_create_total",
 			"os_mmap_total",
 		},
-		MinRate:       1,
-		RecoveryTicks: 2,
+		MinRate: 1,
 	}
 }
 
@@ -71,7 +67,7 @@ type Alert struct {
 	NowNs     int64   `json:"now_ns"`
 	Kind      string  `json:"kind"` // "regression", "recovery", "rollout-stage", "promotion", "rollback"
 	Metric    string  `json:"metric"`
-	Mode      string  `json:"mode"` // "rate" or "value"
+	Mode      string  `json:"mode"` // "rate" (watchdog) or "rollout"
 	Baseline  float64 `json:"baseline"`
 	Current   float64 `json:"current"`
 	RelChange float64 `json:"rel_change"`
@@ -107,12 +103,6 @@ func newWatchdog(cfg WatchdogConfig) *watchdog {
 	if cfg.RateThreshold <= 0 {
 		cfg.RateThreshold = 1.0
 	}
-	if cfg.ValueThreshold <= 0 {
-		cfg.ValueThreshold = 0.5
-	}
-	if cfg.RecoveryTicks <= 0 {
-		cfg.RecoveryTicks = 2
-	}
 	return &watchdog{
 		cfg:      cfg,
 		hist:     map[string][]float64{},
@@ -128,11 +118,9 @@ func (w *watchdog) activeCount() int { return len(w.alerting) }
 func (w *watchdog) observe(tick, nowNs int64, snap telemetry.Snapshot) []Alert {
 	flat := profdiff.FlattenSnapshots(snap)
 
-	// Current per-tick observation for every watched metric.
+	// Current per-tick rate for every watched metric.
 	baseline := profdiff.Metrics{}
 	current := profdiff.Metrics{}
-	mode := map[string]string{}
-	threshold := map[string]float64{}
 	for _, name := range w.cfg.Rates {
 		cum, ok := flat[name]
 		if !ok {
@@ -145,17 +133,6 @@ func (w *watchdog) observe(tick, nowNs int64, snap telemetry.Snapshot) []Alert {
 			rate = cum
 		}
 		current[name] = rate
-		mode[name] = "rate"
-		threshold[name] = w.cfg.RateThreshold
-	}
-	for _, name := range w.cfg.Values {
-		v, ok := flat[name]
-		if !ok {
-			continue
-		}
-		current[name] = v
-		mode[name] = "value"
-		threshold[name] = w.cfg.ValueThreshold
 	}
 	if w.prev == nil {
 		// Seed the cumulative baseline and windows; never alert on the
@@ -174,27 +151,18 @@ func (w *watchdog) observe(tick, nowNs int64, snap telemetry.Snapshot) []Alert {
 		}
 	}
 
-	// profdiff carries the comparison: baseline-vs-current deltas, then
-	// the threshold filter, per mode (rates and values may have
-	// different thresholds).
+	// profdiff carries the comparison: baseline-vs-current deltas of
+	// the warmed metrics, then the threshold filter.
 	var alerts []Alert
-	deltas := profdiff.Diff(baseline, current)
+	var warm []profdiff.Delta
+	for _, dl := range profdiff.Diff(baseline, current) {
+		if dl.InA && dl.InB {
+			warm = append(warm, dl)
+		}
+	}
 	exceeded := map[string]profdiff.Delta{}
-	for _, md := range []string{"rate", "value"} {
-		var sub []profdiff.Delta
-		for _, dl := range deltas {
-			if mode[dl.Name] == md && dl.InA && dl.InB {
-				sub = append(sub, dl)
-			}
-		}
-		th := w.cfg.RateThreshold
-		if md == "value" {
-			th = w.cfg.ValueThreshold
-		}
-		for _, dl := range profdiff.Exceeds(sub, th) {
-			if md == "rate" && dl.A < w.cfg.MinRate {
-				continue
-			}
+	for _, dl := range profdiff.Exceeds(warm, w.cfg.RateThreshold) {
+		if dl.A >= w.cfg.MinRate {
 			exceeded[dl.Name] = dl
 		}
 	}
@@ -215,13 +183,13 @@ func (w *watchdog) observe(tick, nowNs int64, snap telemetry.Snapshot) []Alert {
 			w.alerting[name] = 0
 			alerts = append(alerts, Alert{
 				Tick: tick, NowNs: nowNs, Kind: "regression",
-				Metric: name, Mode: mode[name],
+				Metric: name, Mode: "rate",
 				Baseline: dl.A, Current: dl.B,
-				RelChange: dl.Rel(), Threshold: threshold[name],
+				RelChange: dl.Rel(), Threshold: w.cfg.RateThreshold,
 			})
 		case active && !over && warmed:
 			w.alerting[name]++
-			if w.alerting[name] >= w.cfg.RecoveryTicks {
+			if w.alerting[name] >= recoveryTicks {
 				delete(w.alerting, name)
 				rel := 0.0
 				if base != 0 {
@@ -232,9 +200,9 @@ func (w *watchdog) observe(tick, nowNs int64, snap telemetry.Snapshot) []Alert {
 				}
 				alerts = append(alerts, Alert{
 					Tick: tick, NowNs: nowNs, Kind: "recovery",
-					Metric: name, Mode: mode[name],
+					Metric: name, Mode: "rate",
 					Baseline: base, Current: current[name],
-					RelChange: rel, Threshold: threshold[name],
+					RelChange: rel, Threshold: w.cfg.RateThreshold,
 				})
 			}
 		case active && over:
@@ -276,9 +244,6 @@ type alertRing struct {
 }
 
 func newAlertRing(capacity int) *alertRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
 	return &alertRing{buf: make([]Alert, capacity)}
 }
 

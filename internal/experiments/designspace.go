@@ -13,7 +13,6 @@ import (
 	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/pageheap"
 	"wsmalloc/internal/percpu"
-	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/policy"
 	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/topology"
@@ -152,7 +151,6 @@ func measureRung(points []policy.DesignPoint, seed uint64, dur int64, withRef bo
 			MinMachines:      4,
 			DurationNs:       dur,
 			TimeWarpGamma:    0.15,
-			Params:           perfmodel.DefaultParams(),
 			Workers:          1, // points already fan out; keep each A/B sequential
 			ControlDesign:    baselineDesign,
 			ExperimentDesign: d.String(),

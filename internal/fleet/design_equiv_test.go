@@ -10,7 +10,6 @@ import (
 	"wsmalloc/internal/fleet"
 	"wsmalloc/internal/golden"
 	"wsmalloc/internal/heapprof"
-	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/topology"
 	"wsmalloc/internal/workload"
@@ -32,7 +31,6 @@ func equivExports(t *testing.T, cfg core.Config) []byte {
 		MinMachines:    4,
 		DurationNs:     20 * workload.Millisecond,
 		TimeWarpGamma:  0.15,
-		Params:         perfmodel.DefaultParams(),
 		Workers:        2,
 		Telemetry:      telemetry.DefaultConfig(),
 		HeapProfile:    heapprof.Config{Enabled: true, Seed: 0x5eed},

@@ -301,8 +301,6 @@ type ABOptions struct {
 	// TimeWarpGamma compresses lifetimes so that multi-hour behaviour
 	// (decline phases, whole-hugepage drains) happens in-run.
 	TimeWarpGamma float64
-	// Params is the performance model calibration.
-	Params perfmodel.Params
 	// Chaos, when Enabled, installs a deterministic fault plan in every
 	// enrolled machine's simulated OS. The plan's Seed is mixed with each
 	// machine's own seed, so different machines fail at different —
@@ -381,7 +379,6 @@ func DefaultABOptions() ABOptions {
 		MinMachines:    12,
 		DurationNs:     250 * workload.Millisecond,
 		TimeWarpGamma:  0.15,
-		Params:         perfmodel.DefaultParams(),
 	}
 }
 
@@ -583,11 +580,12 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 	// Anchor coverage at the model's reference point for the control
 	// and apply only the measured delta for the experiment: absolute
 	// simulated coverage is not comparable to the fleet's.
+	params := perfmodel.DefaultParams()
 	inC := perfmodel.Inputs{
 		BaseMPKI:            base,
 		InterDomainShare:    c.InterDomainShare,
 		AllocatorCacheBytes: c.CacheBytes,
-		HugepageCoverage:    opts.Params.RefCoverage,
+		HugepageCoverage:    params.RefCoverage,
 		MallocTimeShare:     share(c),
 		Ops:                 c.Result.Ops,
 		DurationNs:          opts.DurationNs,
@@ -595,14 +593,14 @@ func runPair(m Machine, control, experiment core.Config, opts ABOptions, attempt
 	inE := inC
 	inE.InterDomainShare = e.InterDomainShare
 	inE.AllocatorCacheBytes = e.CacheBytes
-	inE.HugepageCoverage = opts.Params.RefCoverage + (e.Coverage - c.Coverage)
+	inE.HugepageCoverage = params.RefCoverage + (e.Coverage - c.Coverage)
 	inE.MallocTimeShare = share(e)
 	inE.Ops = e.Result.Ops
 
 	// Per-app dTLB anchoring (Table 2 rows differ by app).
-	mc := perfmodel.Evaluate(opts.Params, inC)
-	me := perfmodel.Evaluate(opts.Params, inE)
-	walkB, walkA := perfmodel.WalkPctPair(opts.Params, m.App.Name, c.Coverage, e.Coverage)
+	mc := perfmodel.Evaluate(params, inC)
+	me := perfmodel.Evaluate(params, inE)
+	walkB, walkA := perfmodel.WalkPctPair(params, m.App.Name, c.Coverage, e.Coverage)
 
 	dMem := 0.0
 	if c.AvgHeapBytes > 0 {

@@ -59,16 +59,13 @@ type LifecycleOptions struct {
 	// plan's mapped-byte budget) into an OOM-kill/restart cycle
 	// instead of a dropped op.
 	RestartOnOOM bool
-	// MaxRestarts bounds combined churn+OOM restarts per run; beyond
-	// it the machine is declared unhealthy and the run fails with a
-	// MachineError. 0 means DefaultMaxRestarts.
-	MaxRestarts int
 }
 
-// DefaultMaxRestarts bounds per-run restart cycles; a machine that dies
-// more often than this is wedged (e.g. budget below the resident heap),
-// and looping forever would hide it.
-const DefaultMaxRestarts = 16
+// maxRestarts bounds combined churn+OOM restarts per run; a machine
+// that dies more often than this is wedged (e.g. budget below the
+// resident heap), so it is declared unhealthy and the run fails with a
+// MachineError rather than looping forever.
+const maxRestarts = 16
 
 // Enabled reports whether the run checkpoints, churns or restarts on
 // OOM — anything beyond a plain machine run.
@@ -241,10 +238,6 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 		}
 	}
 
-	budget := int64(lc.MaxRestarts)
-	if budget <= 0 {
-		budget = DefaultMaxRestarts
-	}
 	unhealthy := func(c LifecycleStats) (RunMetrics, *machine.Runtime, bool, error) {
 		return fail(rt.Driver().Now(), fmt.Errorf("machine unhealthy: %d restarts (churn=%d, oom=%d) exhausted the restart budget",
 			c.Restarts, c.ChurnKills, c.OOMKills))
@@ -257,7 +250,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 			until = killAt
 		}
 		var capped bool
-		res, capped = rt.RunUntil(until, int(budget-rt.Counters().Restarts))
+		res, capped = rt.RunUntil(until, int(maxRestarts-rt.Counters().Restarts))
 		if ckptErr != nil {
 			return fail(rt.Driver().Now(), fmt.Errorf("writing checkpoint %s: %w", ckptPath, ckptErr))
 		}
@@ -274,7 +267,7 @@ func RunMachineLifecycle(m Machine, cfg core.Config, opts workload.Options,
 			return RunMetrics{}, rt, true, nil
 		}
 		// Scheduled churn: the machine dies and is repaired.
-		if c.Restarts >= budget {
+		if c.Restarts >= maxRestarts {
 			c.ChurnKills++
 			return unhealthy(c)
 		}

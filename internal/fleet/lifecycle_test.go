@@ -13,7 +13,6 @@ import (
 	"wsmalloc/internal/heapprof"
 	"wsmalloc/internal/machine"
 	"wsmalloc/internal/mem"
-	"wsmalloc/internal/perfmodel"
 	"wsmalloc/internal/sched"
 	"wsmalloc/internal/telemetry"
 	"wsmalloc/internal/workload"
@@ -25,7 +24,6 @@ func lifecycleABOptions(workers int) ABOptions {
 		MinMachines:    4,
 		DurationNs:     15 * workload.Millisecond,
 		TimeWarpGamma:  0.15,
-		Params:         perfmodel.DefaultParams(),
 		Workers:        workers,
 		Telemetry:      telemetry.DefaultConfig(),
 		HeapProfile:    heapprof.Config{Enabled: true, Seed: 0x5eed},

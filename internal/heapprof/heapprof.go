@@ -19,7 +19,7 @@
 //     their true lifetime)
 //   - peakheapz: the live heap as of the high-water mark, captured by a
 //     heap-pressure watchpoint (re-snapshotted only when the peak has
-//     grown by PeakGrowthFraction since the last capture, so capture
+//     grown by peakGrowthFraction since the last capture, so capture
 //     cost stays logarithmic in heap growth)
 //
 // The profiler is deliberately not safe for concurrent use: one
@@ -39,8 +39,9 @@ import (
 // sampling gap (512 KiB).
 const DefaultSampleIntervalBytes = 512 << 10
 
-// DefaultPeakGrowthFraction re-arms the peak watchpoint after 1% growth.
-const DefaultPeakGrowthFraction = 0.01
+// peakGrowthFraction is the minimum fractional growth of live requested
+// bytes between peakheapz captures: the watchpoint re-arms after 1%.
+const peakGrowthFraction = 0.01
 
 // Config enables and tunes the sampled heap profiler.
 type Config struct {
@@ -53,10 +54,6 @@ type Config struct {
 	// Seed seeds the gap RNG; the fleet mixes the machine seed in so
 	// arms stay decorrelated and reproducible.
 	Seed uint64
-	// PeakGrowthFraction is the minimum fractional growth of live
-	// requested bytes between peakheapz captures. Zero means
-	// DefaultPeakGrowthFraction.
-	PeakGrowthFraction float64
 }
 
 func (c Config) interval() int64 {
@@ -64,13 +61,6 @@ func (c Config) interval() int64 {
 		return c.SampleIntervalBytes
 	}
 	return DefaultSampleIntervalBytes
-}
-
-func (c Config) peakGrowth() float64 {
-	if c.PeakGrowthFraction > 0 {
-		return c.PeakGrowthFraction
-	}
-	return DefaultPeakGrowthFraction
 }
 
 // liveFilterSize buckets the live-address counting filter. Live
@@ -266,10 +256,10 @@ func (p *Profiler) ClassLifetime(class int) (meanDecade float64, samples int64) 
 // MaybePeak is the heap-pressure watchpoint: the allocator calls it
 // whenever live requested bytes reach a new high-water mark, and the
 // profiler re-captures the live table only when the peak has grown by
-// PeakGrowthFraction since the last capture.
+// peakGrowthFraction since the last capture.
 func (p *Profiler) MaybePeak(liveRequested, now int64) {
 	if p.peakArmBytes > 0 &&
-		float64(liveRequested) < float64(p.peakArmBytes)*(1+p.cfg.peakGrowth()) {
+		float64(liveRequested) < float64(p.peakArmBytes)*(1+peakGrowthFraction) {
 		return
 	}
 	p.peakArmBytes = liveRequested

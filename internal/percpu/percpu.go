@@ -45,8 +45,6 @@ type Config struct {
 	// paper uses 5 s of wall time; simulation runs compress hours into
 	// hundreds of milliseconds, so the default is 10 ms of virtual time.
 	ResizeIntervalNs int64
-	// TopK is how many highest-miss caches grow per resize interval.
-	TopK int
 	// StepBytes is the capacity moved per steal.
 	StepBytes int64
 	// PerClassBytesCap bounds how many bytes of one size class a single
@@ -60,6 +58,9 @@ type Config struct {
 	DecayIntervalNs int64
 }
 
+// topK is how many highest-miss caches grow per resize interval.
+const topK = 5
+
 // StaticConfig is the legacy front-end: fixed 3 MiB per vCPU.
 func StaticConfig() Config {
 	return Config{
@@ -68,7 +69,6 @@ func StaticConfig() Config {
 		GrowStepBytes:        64 << 10,
 		MinCapacityBytes:     128 << 10,
 		ResizeIntervalNs:     10e6,
-		TopK:                 5,
 		StepBytes:            256 << 10,
 		PerClassBytesCap:     96 << 10,
 		DecayIntervalNs:      20e6,

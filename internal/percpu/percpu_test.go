@@ -149,7 +149,7 @@ func TestHeterogeneousResizeMovesCapacity(t *testing.T) {
 	cfg.ResizeIntervalNs = 1
 	c, _ := newCaches(cfg)
 	// vCPU 0 misses a lot; vCPUs 1-8 are idle but populated (more than
-	// TopK, so the resizer has victims to steal from).
+	// topK, so the resizer has victims to steal from).
 	for v := 0; v < 9; v++ {
 		c.Alloc(v, 0)
 	}

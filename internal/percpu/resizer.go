@@ -14,7 +14,7 @@ const (
 	// Static never resizes: every vCPU grows toward the same fixed
 	// budget (legacy).
 	Static Policy = iota
-	// Hetero is the paper's heterogeneous policy (§4.1): the TopK
+	// Hetero is the paper's heterogeneous policy (§4.1): the topK
 	// caches with the most misses in the last window grow with capacity
 	// stolen round-robin from the rest.
 	Hetero
@@ -29,7 +29,7 @@ const (
 const ewmaAlpha = 0.3
 
 // resize runs one capacity-stealing pass over the populated caches: the
-// TopK caches with the highest positive ranking key grow with capacity
+// topK caches with the highest positive ranking key grow with capacity
 // stolen round-robin from the rest, and every miss window restarts. The
 // pass conserves the summed slow-start bound (capacity moves, it is
 // never created); CheckInvariants enforces this.
@@ -64,10 +64,7 @@ func (c *Caches) resize() {
 		} else {
 			sort.Slice(ranked, func(i, j int) bool { return ranked[i].key > ranked[j].key })
 		}
-		k := c.cfg.TopK
-		if k > len(ranked) {
-			k = len(ranked)
-		}
+		k := min(topK, len(ranked))
 		// Caches with no misses never grow.
 		grow := map[int]bool{}
 		var growList []int

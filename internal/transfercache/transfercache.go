@@ -38,23 +38,26 @@ type Config struct {
 	NumDomains int
 	// LegacyObjectsPerClass caps the centralized cache per size class.
 	LegacyObjectsPerClass int
-	// DomainObjectsPerClass caps each per-domain cache per size class.
-	DomainObjectsPerClass int
-	// LegacyBytesPerClass / DomainBytesPerClass additionally cap each
-	// class by bytes, so large size classes cannot strand megabytes in
-	// the middle tier (the object caps alone would let a 256 KiB class
-	// park hundreds of MiB).
+	// LegacyBytesPerClass additionally caps each class by bytes, so
+	// large size classes cannot strand megabytes in the middle tier
+	// (the object cap alone would let a 256 KiB class park hundreds of
+	// MiB).
 	LegacyBytesPerClass int64
-	DomainBytesPerClass int64
 }
+
+// domainObjectsPerClass and domainBytesPerClass cap each per-domain
+// cache per size class, by objects and by bytes, as the legacy caps do
+// for the centralized cache.
+const (
+	domainObjectsPerClass = 256
+	domainBytesPerClass   = 128 << 10
+)
 
 // DefaultConfig returns the legacy (centralized-only) configuration.
 func DefaultConfig() Config {
 	return Config{
 		LegacyObjectsPerClass: 1024,
-		DomainObjectsPerClass: 256,
 		LegacyBytesPerClass:   512 << 10,
-		DomainBytesPerClass:   128 << 10,
 	}
 }
 
@@ -207,7 +210,7 @@ func buildDomains(t *TransferCaches, cfg Config) [][]cache {
 	for d := range domains {
 		domains[d] = make([]cache, t.numClasses)
 		for i := range domains[d] {
-			domains[d][i].max = t.capFor(cfg.DomainObjectsPerClass, cfg.DomainBytesPerClass, i)
+			domains[d][i].max = t.capFor(domainObjectsPerClass, domainBytesPerClass, i)
 		}
 	}
 	return domains

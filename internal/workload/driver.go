@@ -15,19 +15,14 @@ type Options struct {
 	Duration int64
 	// Seed makes the run reproducible.
 	Seed uint64
-	// TimeWarpCutoffNs and TimeWarpGamma compress long lifetimes so that
-	// hour/day-scale behaviour folds into a sub-second virtual run while
-	// preserving the short-lifetime structure: lifetimes below the
-	// cutoff are kept, longer ones become cutoff*(life/cutoff)^gamma.
-	TimeWarpCutoffNs int64
-	TimeWarpGamma    float64
+	// TimeWarpGamma compresses long lifetimes so that hour/day-scale
+	// behaviour folds into a sub-second virtual run while preserving the
+	// short-lifetime structure: lifetimes below timeWarpCutoffNs are
+	// kept, longer ones become cutoff*(life/cutoff)^gamma.
+	TimeWarpGamma float64
 	// DynamicsPeriodNs overrides the profile's diurnal period so thread
 	// fluctuation happens within the run (default Duration/4).
 	DynamicsPeriodNs int64
-	// TickEveryNs is the allocator background-work cadence.
-	TickEveryNs int64
-	// ThreadUpdateEveryNs is how often the thread count is re-evaluated.
-	ThreadUpdateEveryNs int64
 	// Snapshot, when non-nil, is called every SnapshotEveryNs.
 	Snapshot        func(now int64)
 	SnapshotEveryNs int64
@@ -69,7 +64,7 @@ type Options struct {
 	// Record, when non-nil, captures every value the run draws from its
 	// RNG into the tape (replacing its contents). Replay, when non-nil,
 	// takes those values from a tape recorded for the same stream
-	// (profile, seed, duration, time warp, thread cadences) instead of
+	// (profile, seed, duration, time warp, diurnal period) instead of
 	// drawing them: the allocator still serves every malloc and free,
 	// only generation is skipped. A replay stops early at the first
 	// malloc its allocator refuses (Tape.Stopped). At most one of the
@@ -79,15 +74,21 @@ type Options struct {
 	Replay *Tape
 }
 
+// The driver's fixed cadences: the time-warp cutoff below which
+// lifetimes are kept, the allocator background-work (Tick) cadence, and
+// how often the thread count is re-evaluated.
+const (
+	timeWarpCutoffNs    = 20 * Millisecond
+	tickEveryNs         = Millisecond
+	threadUpdateEveryNs = 2 * Millisecond
+)
+
 // DefaultOptions returns options suitable for experiment runs.
 func DefaultOptions(seed uint64) Options {
 	return Options{
-		Duration:            200 * Millisecond,
-		Seed:                seed,
-		TimeWarpCutoffNs:    20 * Millisecond,
-		TimeWarpGamma:       0.22,
-		TickEveryNs:         Millisecond,
-		ThreadUpdateEveryNs: 2 * Millisecond,
+		Duration:      200 * Millisecond,
+		Seed:          seed,
+		TimeWarpGamma: 0.22,
 	}
 }
 
@@ -109,7 +110,7 @@ type Result struct {
 	// Duration is the virtual run length.
 	Duration int64
 	// ThreadSeries samples the active thread count every
-	// ThreadUpdateEveryNs (Fig. 9a).
+	// threadUpdateEveryNs (Fig. 9a).
 	ThreadSeries []int
 	// Stats is the allocator snapshot at the end of the run (before any
 	// teardown).
@@ -196,17 +197,8 @@ func NewDriver(p Profile, a *core.Allocator, opts Options) *Driver {
 	if opts.DynamicsPeriodNs == 0 {
 		opts.DynamicsPeriodNs = opts.Duration / 4
 	}
-	if opts.TimeWarpCutoffNs == 0 {
-		opts.TimeWarpCutoffNs = 20 * Millisecond
-	}
 	if opts.TimeWarpGamma == 0 {
 		opts.TimeWarpGamma = 0.22
-	}
-	if opts.TickEveryNs == 0 {
-		opts.TickEveryNs = Millisecond
-	}
-	if opts.ThreadUpdateEveryNs == 0 {
-		opts.ThreadUpdateEveryNs = 2 * Millisecond
 	}
 	// Heap-profile samples are attributed to synthetic call-sites keyed
 	// by the workload name; the driver owns the allocator for the run.
@@ -221,7 +213,7 @@ func NewDriver(p Profile, a *core.Allocator, opts Options) *Driver {
 		opts:    opts,
 		r:       rng.New(opts.Seed),
 		dyn:     dyn,
-		warp:    rng.NewWarp(float64(opts.TimeWarpCutoffNs), opts.TimeWarpGamma),
+		warp:    rng.NewWarp(float64(timeWarpCutoffNs), opts.TimeWarpGamma),
 		rec:     opts.Record,
 		play:    opts.Replay,
 		wheel:   newDeathWheel(),
@@ -448,8 +440,8 @@ func (d *Driver) Run() Result {
 			return d.res
 		}
 
-		d.nextThreadUpdate = d.opts.ThreadUpdateEveryNs
-		d.nextTick = d.opts.TickEveryNs
+		d.nextThreadUpdate = threadUpdateEveryNs
+		d.nextTick = tickEveryNs
 		d.nextSnapshot = math.MaxInt64
 		if d.opts.Snapshot != nil && d.opts.SnapshotEveryNs > 0 {
 			d.nextSnapshot = d.opts.SnapshotEveryNs
@@ -508,12 +500,12 @@ func (d *Driver) Run() Result {
 
 		if d.now >= d.nextTick {
 			d.alloc.Tick(d.now)
-			d.nextTick += d.opts.TickEveryNs
+			d.nextTick += tickEveryNs
 		}
 		if d.now >= d.nextThreadUpdate {
 			d.setThreads(d.drawThreads(d.now))
 			d.res.ThreadSeries = append(d.res.ThreadSeries, d.threads)
-			d.nextThreadUpdate += d.opts.ThreadUpdateEveryNs
+			d.nextThreadUpdate += threadUpdateEveryNs
 		}
 		if d.now >= d.nextSnapshot {
 			d.opts.Snapshot(d.now)

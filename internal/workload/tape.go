@@ -9,26 +9,22 @@ import (
 // depend on. The allocator is deliberately absent — the stream is
 // allocator-independent as long as no malloc is refused (see Tape).
 type tapeKey struct {
-	Profile             string
-	Seed                uint64
-	Duration            int64
-	TimeWarpCutoffNs    int64
-	TimeWarpGamma       float64
-	DynamicsPeriodNs    int64
-	ThreadUpdateEveryNs int64
+	Profile          string
+	Seed             uint64
+	Duration         int64
+	TimeWarpGamma    float64
+	DynamicsPeriodNs int64
 }
 
 // keyOf derives the key of the stream a driver draws (options with
 // NewDriver's defaults filled in).
 func keyOf(p Profile, opts Options) tapeKey {
 	return tapeKey{
-		Profile:             p.Name,
-		Seed:                opts.Seed,
-		Duration:            opts.Duration,
-		TimeWarpCutoffNs:    opts.TimeWarpCutoffNs,
-		TimeWarpGamma:       opts.TimeWarpGamma,
-		DynamicsPeriodNs:    opts.DynamicsPeriodNs,
-		ThreadUpdateEveryNs: opts.ThreadUpdateEveryNs,
+		Profile:          p.Name,
+		Seed:             opts.Seed,
+		Duration:         opts.Duration,
+		TimeWarpGamma:    opts.TimeWarpGamma,
+		DynamicsPeriodNs: opts.DynamicsPeriodNs,
 	}
 }
 

@@ -96,10 +96,8 @@ func TestReplayKeyMismatchPanics(t *testing.T) {
 	for name, mutate := range map[string]func(*Options){
 		"seed":     func(o *Options) { o.Seed++ },
 		"duration": func(o *Options) { o.Duration++ },
-		"cutoff":   func(o *Options) { o.TimeWarpCutoffNs++ },
 		"gamma":    func(o *Options) { o.TimeWarpGamma += 0.01 },
 		"dynamics": func(o *Options) { o.DynamicsPeriodNs = Millisecond },
-		"threads":  func(o *Options) { o.ThreadUpdateEveryNs++ },
 	} {
 		opts := base
 		mutate(&opts)

@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate.
 #
-# Runs a gofmt gate, vet, build, the unit/property tests under the race detector
+# Runs a gofmt gate, vet, build (the perfbench module included), the
+# unit/property tests under the race detector
 # (which covers the parallel fleet/experiment execution engine, its
 # determinism-equivalence tests, and the heap-profiler tests), a short
 # fuzz smoke on the fuzz targets (size classes, alloc/free, the profdiff
@@ -58,6 +59,11 @@ go vet ./...
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> perfbench vet + build (a separate module that ./... skips)"
+# perfbench compiles against the internal config structs, so a field
+# removed there must fail here, not first in a benchmark run.
+(cd perfbench && go vet . && go build -o /dev/null .)
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -166,18 +172,23 @@ for j in 1 4; do
     done
 done
 
-echo "==> wsmalloc-sim lifecycle smoke (kill at 50% + resume byte-identical to uninterrupted; churn keeps dead processes' counters)"
+echo "==> wsmalloc-sim lifecycle smoke (kill at 50% + resume byte-identical to uninterrupted and to a plain run; churn keeps dead processes' counters)"
 # wsmalloc-sim runs as a fleet of one on the machine runtime. A run
 # killed at 50% virtual time must exit 3 and resume to exports
 # byte-identical to an uninterrupted checkpointed run: the restored
 # allocator's hugepage maps (.pageheapz), its series and trace ring
-# (.json) and every other export. A churned
+# (.json) and every other export. Checkpointing itself must not show in
+# the exports: the checkpointed run matches a plain run. A churned
 # run's telemetry must count every allocation the run made: the
 # cumulative malloc count (the alloc_size_bytes histogram every malloc
 # feeds) carries the process that died across the cold restart.
 go build -o "$TELDIR/wsmalloc-sim" ./cmd/wsmalloc-sim
 SIMFLAGS="-duration-ms 40 -telemetry -heapprof -pageheapz"
+"$TELDIR/wsmalloc-sim" $SIMFLAGS -metrics-out "$TELDIR/sim-plain" > /dev/null
 "$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck-ref" -metrics-out "$TELDIR/sim-ref" > /dev/null
+for ext in prom json mallocz heapz heapz.json pageheapz; do
+    cmp "$TELDIR/sim-plain.$ext" "$TELDIR/sim-ref.$ext"
+done
 status=0
 "$TELDIR/wsmalloc-sim" $SIMFLAGS -checkpoint-dir "$TELDIR/simck" -kill-frac 0.5 > /dev/null || status=$?
 [ "$status" -eq 3 ] # the scheduled kill must exit with the resume-me code
